@@ -15,6 +15,8 @@ can be produced concurrently and merged by key without affecting values.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -47,6 +49,7 @@ __all__ = [
     "SupNormEstimate",
     "KfSandwich",
     "InequalityReport",
+    "Residual",
     "sup_norm",
     "dtilde_sup_norm",
     "lebesgue_bound",
@@ -60,6 +63,7 @@ __all__ = [
     "kfunctional_sandwich",
     "check_direct",
     "check_converse",
+    "loglog_slope",
     "rate_fit",
 ]
 
@@ -80,6 +84,16 @@ PASS_ATOL = 1e-12
 DEFAULT_GRID = 2001
 GOLDEN_ITERATIONS = 50
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: Bytes of grid bases B(n, grid) kept between sup norms.  20 MiB holds every
+#: degree of a default sweep (n up to 512 on the default grid); a basis larger
+#: than the budget is used once and not kept.
+GRID_BASIS_BUDGET = 20 * 2**20
+#: Candidate grid points re-evaluated by de Casteljau per call.
+_CONFIRM_CHUNK = 128
+#: Row block of check_bn_decomposition.
+_DECOMPOSITION_BLOCK = 256
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -139,6 +153,68 @@ def _chebyshev_grid(grid_size: int) -> np.ndarray:
     return xs
 
 
+class _GridBasisCache:
+    """Read-only bases B(n, grid) by (n, grid_size), least recently used first out.
+
+    Filled lazily and bounded by ``budget`` bytes in total; a lock keeps it
+    safe for concurrent sweeps, and the arrays themselves are immutable.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.nbytes = 0
+        self._entries: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, n: int, grid_size: int) -> np.ndarray:
+        key = (n, grid_size)
+        with self._lock:
+            basis = self._entries.get(key)
+            if basis is not None:
+                self._entries.move_to_end(key)
+                return basis
+        basis = bernstein_matrix(n, _chebyshev_grid(grid_size))
+        basis.setflags(write=False)
+        with self._lock:
+            if basis.nbytes <= self.budget and key not in self._entries:
+                while self.nbytes + basis.nbytes > self.budget:
+                    _, old = self._entries.popitem(last=False)
+                    self.nbytes -= old.nbytes
+                self._entries[key] = basis
+                self.nbytes += basis.nbytes
+        return basis
+
+
+_GRID_BASES = _GridBasisCache(GRID_BASIS_BUDGET)
+
+
+def _grid_basis(n: int, grid_size: int) -> np.ndarray:
+    """B(n, _chebyshev_grid(grid_size)); rows [1:-1] are the interior points."""
+    return _GRID_BASES.get(n, grid_size)
+
+
+@dataclass(frozen=True, eq=False)
+class Residual:
+    """The function x -> p(x) - f(x) + scale * g(x) for a Bernstein form p.
+
+    ``f`` and ``g`` are vectorized callables; ``g`` is optional.  Calling it
+    evaluates p by de Casteljau, in this operation order, so its values are
+    those of the equivalent lambda.  sup_norm recognises the type and screens
+    the grid with the cached basis first.
+    """
+
+    p: BernsteinForm
+    f: Callable
+    g: Callable | None = None
+    scale: float = 0.0
+
+    def __call__(self, xs):
+        out = self.p.eval(xs) - self.f(xs)
+        if self.g is not None:
+            out = out + self.scale * self.g(xs)
+        return out
+
+
 def _abs_values(fn, xs: np.ndarray) -> np.ndarray:
     target = fn.eval if isinstance(fn, BernsteinForm) else fn
     vals = np.abs(np.asarray(target(xs), dtype=float))
@@ -147,21 +223,75 @@ def _abs_values(fn, xs: np.ndarray) -> np.ndarray:
     return vals
 
 
-def sup_norm(fn: BernsteinForm | Callable, grid_size: int = DEFAULT_GRID) -> SupNormEstimate:
+def _screened_grid_max(fn: BernsteinForm | Residual, xs: np.ndarray, grid_size: int) -> tuple[int, float]:
+    """Index and value of max |fn| on the grid, as a full de Casteljau pass gives them.
+
+    The polynomial part is first screened as a matvec with the cached basis.
+    That and de Casteljau each err by at most about 2n u sum|c_k| P_{n,k}, so
+    delta = 8(n+1) eps max|c_k|, plus the rounding of the subtractions, bounds
+    their gap; every point whose screened value is within 2 delta of the
+    screened max is re-evaluated exactly, which includes every point where the
+    exact values attain their max.  Non-finite screened values fall back to
+    the full pass, which raises as before.
+    """
+    p = fn if isinstance(fn, BernsteinForm) else fn.p
+    if isinstance(fn, Residual):
+        f_vals = fn.f(xs)
+        g_vals = fn.scale * fn.g(xs) if fn.g is not None else None
+    with np.errstate(all="ignore"):
+        screened = _grid_basis(p.n, grid_size) @ p.coeffs
+        delta = 8.0 * (p.n + 1) * _EPS * float(np.max(np.abs(p.coeffs)))
+        if isinstance(fn, Residual):
+            delta += 4.0 * _EPS * (float(np.max(np.abs(screened))) + float(np.max(np.abs(f_vals))))
+            screened = screened - f_vals
+            if g_vals is not None:
+                delta += 4.0 * _EPS * (float(np.max(np.abs(screened))) + float(np.max(np.abs(g_vals))))
+                screened = screened + g_vals
+        screened = np.abs(screened)
+    if not (np.all(np.isfinite(screened)) and math.isfinite(delta)):
+        vals = _abs_values(fn, xs)
+        i = int(np.argmax(vals))
+        return i, float(vals[i])
+
+    candidates = np.flatnonzero(screened >= np.max(screened) - 2.0 * delta)
+    best_i, best_v = -1, -math.inf
+    for start in range(0, candidates.size, _CONFIRM_CHUNK):
+        idx = candidates[start : start + _CONFIRM_CHUNK]
+        if isinstance(fn, BernsteinForm):
+            exact = fn
+        elif g_vals is None:
+            exact = lambda pts, idx=idx: p.eval(pts) - f_vals[idx]
+        else:
+            exact = lambda pts, idx=idx: p.eval(pts) - f_vals[idx] + g_vals[idx]
+        vals = _abs_values(exact, xs[idx])
+        j = int(np.argmax(vals))
+        if vals[j] > best_v:
+            best_i, best_v = int(idx[j]), float(vals[j])
+    return best_i, best_v
+
+
+def sup_norm(fn: BernsteinForm | Residual | Callable, grid_size: int = DEFAULT_GRID) -> SupNormEstimate:
     """Estimate ||fn||_inf on [0,1] from below.
 
     Takes the max of |fn| over a Chebyshev-distributed grid (denser near the
     endpoints, where the weight degenerates) plus both endpoints, then runs a
     fixed number of golden-section iterations around the best point.
     Deterministic for a fixed grid size; refinement can only increase the
-    value.
+    value.  For a BernsteinForm or a Residual the grid max is found by
+    screening with a cached basis and confirming by de Casteljau, which gives
+    the same point and value, bit for bit, as a de Casteljau pass over the
+    whole grid.
     """
     if grid_size < 64:
         raise ValueError("grid_size must be >= 64")
     xs = _chebyshev_grid(grid_size)
-    vals = _abs_values(fn, xs)
-    i = int(np.argmax(vals))
-    best_x, best_v = float(xs[i]), float(vals[i])
+    if isinstance(fn, (BernsteinForm, Residual)):
+        i, best_v = _screened_grid_max(fn, xs, grid_size)
+    else:
+        vals = _abs_values(fn, xs)
+        i = int(np.argmax(vals))
+        best_v = float(vals[i])
+    best_x = float(xs[i])
 
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, xs.size - 1)])
@@ -184,8 +314,8 @@ def sup_norm(fn: BernsteinForm | Callable, grid_size: int = DEFAULT_GRID) -> Sup
     return SupNormEstimate(value=best_v, argmax=best_x, grid_size=grid_size, refined=True)
 
 
-def _difference(p: BernsteinForm, f: FunctionSpec) -> Callable:
-    return lambda xs: p.eval(xs) - f.eval(xs)
+def _difference(p: BernsteinForm, f: FunctionSpec) -> Residual:
+    return Residual(p, f.eval)
 
 
 def dtilde_sup_norm(f: FunctionSpec, ell: int, grid_size: int = DEFAULT_GRID) -> float:
@@ -269,11 +399,7 @@ def check_voronovskaya(
     _require(f.smoothness.d3_bounded, f, "Dtilde^3 f bounded")
     ts = tail_sums(n)
     p = apply_Utilde(f, n, tol)
-    d2f = dtilde_of_function(f, 2)
-
-    def residual(xs):
-        return p.eval(xs) - f.eval(xs) + ts.lam * d2f(xs)
-
+    residual = Residual(p, f.eval, dtilde_of_function(f, 2), ts.lam)
     lhs = sup_norm(residual, grid_size).value
     rhs = ts.theta * dtilde_sup_norm(f, 3, grid_size)
     return InequalityReport("voronovskaya", f.name, n, lhs, rhs)
@@ -302,8 +428,7 @@ def bernstein_probe_max_ratio(
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    xs = _chebyshev_grid(grid_size)
-    B = bernstein_matrix(n, xs)
+    B = _grid_basis(n, grid_size)
     A = u_coefficient_matrix(n, n)
 
     C = rng.choice([-1.0, 1.0], size=(trials, n + 1))
@@ -317,28 +442,11 @@ def bernstein_probe_max_ratio(
     return float(np.max(lhs / (n * norms)))
 
 
-def check_bn_decomposition(n: int, grid_size: int = DEFAULT_GRID) -> list[InequalityReport]:
-    """Pointwise checks of the three-part decomposition behind the Bernstein bound.
-
-    On an interior grid: the convexity part a_n(x) is identically 2(n-1); the
-    cross part b_n(x) is compared against 4.5 n and equals 4(n-1) off the
-    sign-change windows (xi_k, k/n) and their mirror images; the eigen part
-    c_n(x) stays below sqrt(6) n.
-
-    Caveat: on a window the absolute sum equals 4(n-1) + 2 s_k (the flipped
-    term counts twice against the signed sum), so the 4.5 n comparison for
-    b_n genuinely fails from n = 37 on, peaking below the corrected bound
-    5n - 4; the report records the stated comparison regardless.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    xs = _chebyshev_grid(grid_size)
-    xs = xs[(xs > 0.0) & (xs < 1.0)]
+def _decomposition_parts(n: int, xs: np.ndarray, B: np.ndarray, B1: np.ndarray):
+    """a_n, b_n and c_n at interior points xs, given B(n, xs) and B(n-1, xs)."""
     phi = xs * (1.0 - xs)
     k = np.arange(n + 1, dtype=float)
 
-    B = bernstein_matrix(n, xs)
-    B1 = bernstein_matrix(n - 1, xs)
     Pp = np.zeros_like(B)
     Pp[:, 0] = -n * B1[:, 0]
     Pp[:, n] = n * B1[:, n - 1]
@@ -356,6 +464,31 @@ def check_bn_decomposition(n: int, grid_size: int = DEFAULT_GRID) -> list[Inequa
     a = (phi / n) * np.sum(Tpp * B, axis=1)
     b = (2.0 * phi / n) * np.sum(np.abs(Tp * Pp), axis=1)
     c = np.sum(np.abs((1.0 - T / n) * T) * B, axis=1)
+    return a, b, c
+
+
+def check_bn_decomposition(n: int, grid_size: int = DEFAULT_GRID) -> list[InequalityReport]:
+    """Pointwise checks of the three-part decomposition behind the Bernstein bound.
+
+    On an interior grid: the convexity part a_n(x) is identically 2(n-1); the
+    cross part b_n(x) is compared against 4.5 n and equals 4(n-1) off the
+    sign-change windows (xi_k, k/n) and their mirror images; the eigen part
+    c_n(x) stays below sqrt(6) n.
+
+    Caveat: on a window the absolute sum equals 4(n-1) + 2 s_k (the flipped
+    term counts twice against the signed sum), so the 4.5 n comparison for
+    b_n genuinely fails from n = 37 on, peaking below the corrected bound
+    5n - 4; the report records the stated comparison regardless.
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    xs = _chebyshev_grid(grid_size)[1:-1]
+    B = _grid_basis(n, grid_size)[1:-1]
+    B1 = _grid_basis(n - 1, grid_size)[1:-1]
+    a, b, c = (np.empty(xs.size) for _ in range(3))
+    for start in range(0, xs.size, _DECOMPOSITION_BLOCK):
+        rows = slice(start, start + _DECOMPOSITION_BLOCK)
+        a[rows], b[rows], c[rows] = _decomposition_parts(n, xs[rows], B[rows], B1[rows])
 
     target_a = 2.0 * (n - 1)
     target_s = 4.0 * (n - 1)
@@ -404,6 +537,11 @@ def kfunctional_sandwich(
     candidates always come from the exact coefficient map, never from
     numerical differentiation.  The lower bound is the operator error divided
     by 1 + sqrt(3).
+
+    Candidates whose costs tie in exact arithmetic (at t2, n = 2 the
+    candidates m = 2, m = 4 and f itself all cost 1/4) are ranked by the last
+    bit of their computed costs, and the winner is what ``candidate_id``, the
+    ``note`` column of the CLI, shows.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -485,6 +623,31 @@ def check_converse(
     return [main, iterate_report]
 
 
+def _check_geometric(ns: Sequence[int]) -> None:
+    if len(ns) < 4:
+        raise ValueError("need at least 4 values of n")
+    ratio = ns[1] / ns[0]
+    if ratio < 2 or any(abs(ns[i + 1] / ns[i] - ratio) > 1e-12 for i in range(len(ns) - 1)):
+        raise ValueError("ns must be geometric with factor >= 2")
+
+
+def loglog_slope(name: str, rows: Sequence[tuple[int, float]]) -> float:
+    """Least-squares slope of log err against log n over (n, err) rows.
+
+    The ns must be a geometric progression of length >= 4 with ratio >= 2.
+    Errors below 1e-13 sit on the rounding floor and are excluded from the
+    fit; if fewer than two points survive the fit is rejected.  ``name``
+    labels the rejection message.
+    """
+    _check_geometric([n for n, _ in rows])
+    kept = [(n, e) for n, e in rows if e >= 1e-13]
+    if len(kept) < 2:
+        raise ValueError(f"rate fit rejected for {name}: all errors on the rounding floor")
+    logn = np.log([n for n, _ in kept])
+    loge = np.log([e for _, e in kept])
+    return float(np.polyfit(logn, loge, 1)[0])
+
+
 def rate_fit(
     f: FunctionSpec,
     ns: Sequence[int],
@@ -492,18 +655,12 @@ def rate_fit(
     grid_size: int = DEFAULT_GRID,
     tol: float = DEFAULT_TOL,
 ) -> tuple[float, list[tuple[int, float]]]:
-    """Least-squares slope of log ||Op_n f - f|| against log n.
+    """Slope of log ||Op_n f - f|| against log n, and the (n, error) rows.
 
-    ``ns`` must be a geometric progression of length >= 4 with ratio >= 2.
-    Errors below 1e-13 sit on the rounding floor and are excluded from the
-    fit; if fewer than two points survive the fit is rejected.
+    The fit and its conditions are those of loglog_slope.
     """
     ns = [int(n) for n in ns]
-    if len(ns) < 4:
-        raise ValueError("need at least 4 values of n")
-    ratio = ns[1] / ns[0]
-    if ratio < 2 or any(abs(ns[i + 1] / ns[i] - ratio) > 1e-12 for i in range(len(ns) - 1)):
-        raise ValueError("ns must be geometric with factor >= 2")
+    _check_geometric(ns)
     if operator not in ("U", "Utilde"):
         raise ValueError("operator must be 'U' or 'Utilde'")
     op = apply_U if operator == "U" else apply_Utilde
@@ -512,10 +669,4 @@ def rate_fit(
     for n in ns:
         err = sup_norm(_difference(op(f, n, tol), f), grid_size).value
         rows.append((n, err))
-    kept = [(n, e) for n, e in rows if e >= 1e-13]
-    if len(kept) < 2:
-        raise ValueError(f"rate fit rejected for {f.name}: all errors on the rounding floor")
-    logn = np.log([n for n, _ in kept])
-    loge = np.log([e for _, e in kept])
-    slope = float(np.polyfit(logn, loge, 1)[0])
-    return slope, rows
+    return loglog_slope(f.name, rows), rows

@@ -58,29 +58,48 @@ class BasisVector:
     values: np.ndarray
 
 
+#: Points per chunk of the recurrence in bernstein_matrix.
+_BASIS_CHUNK = 256
+
+
 def bernstein_matrix(n: int, xs) -> np.ndarray:
     """Basis values at many points: out[i, k] = P_{n,k}(xs[i]).
 
     Computed by the degree-raising recurrence
-    P_{j,k} = (1-x) P_{j-1,k} + x P_{j-1,k-1}, vectorized over the points.
+    P_{j,k} = x P_{j-1,k-1} + (1-x) P_{j-1,k}, vectorized over the points.
     Never forms binomial coefficients, so there is no overflow for any n and
     no loss from huge intermediate products.
+
+    The points are taken in chunks; each chunk runs every level in place in a
+    small (n+1, chunk) work array, whose rows are contiguous, and is then
+    copied into its rows of the result.  Each entry is rounded exactly as in
+    the level-by-level form, and the memory beyond the result is two arrays
+    of (n+1, chunk).
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
         raise ValueError("evaluation points must lie in [0, 1]")
-    one_minus = 1.0 - xs
-    b = np.ones((xs.size, 1))
-    for j in range(1, n + 1):
-        nxt = np.empty((xs.size, j + 1))
-        nxt[:, 0] = one_minus * b[:, 0]
-        nxt[:, j] = xs * b[:, j - 1]
-        if j > 1:
-            nxt[:, 1:j] = xs[:, None] * b[:, : j - 1] + one_minus[:, None] * b[:, 1:j]
-        b = nxt
-    return b
+    out = np.empty((xs.size, n + 1))
+    width = min(_BASIS_CHUNK, xs.size)
+    work = np.empty((n + 1, width))
+    scratch = np.empty((max(n - 1, 0), width))
+    for start in range(0, xs.size, _BASIS_CHUNK):
+        x = xs[start : start + _BASIS_CHUNK]
+        one_minus = 1.0 - x
+        b = work[:, : x.size]
+        b[0] = 1.0
+        for j in range(1, n + 1):
+            np.multiply(x, b[j - 1], out=b[j])
+            if j > 1:
+                left = np.multiply(x, b[: j - 1], out=scratch[: j - 1, : x.size])
+                interior = b[1:j]
+                interior *= one_minus
+                interior += left
+            b[0] *= one_minus
+        out[start : start + x.size] = b.T
+    return out
 
 
 def bernstein_vector(n: int, x: float) -> BasisVector:

@@ -21,12 +21,13 @@ import numpy as np
 from . import __version__
 from .basis import bernstein_matrix, phi_big, tail_sums
 from .catalog import CATALOG, FunctionSpec, catalog_names, get_function
-from .errors import InvariantViolation, PreconditionError, ToleranceError
+from .errors import IntegrationError, InvariantViolation, PreconditionError, ToleranceError
 from .exactpoly import apply_Utilde_exact, commute_check_exact, telescope_check_exact
 from .operators import BernsteinForm, apply_U, apply_Utilde
 from .analysis import (
     BERNSTEIN_CONSTANT,
     InequalityReport,
+    Residual,
     bernstein_probe_max_ratio,
     check_bernstein_inequality,
     check_bn_decomposition,
@@ -38,7 +39,7 @@ from .analysis import (
     dtilde_sup_norm,
     kfunctional_sandwich,
     lebesgue_bound,
-    rate_fit,
+    loglog_slope,
     sup_norm,
 )
 
@@ -262,7 +263,7 @@ def _verify_function_rows(cfg: RunConfig, f: FunctionSpec, n: int) -> list[dict]
     rows.append(_report_row(InequalityReport("endpoint_interp", f.name, n, dev, 1e-12)))
 
     if f.polynomial_degree is not None and f.polynomial_degree <= 1:
-        err = sup_norm(lambda t: put.eval(t) - f.eval(t), cfg.grid_size).value
+        err = sup_norm(Residual(put, f.eval), cfg.grid_size).value
         rows.append(_report_row(InequalityReport("linear_reproduction", f.name, n, err, 1e-12)))
 
     _guarded(rows, "contraction_U", f.name, n, lambda: check_contraction_U(f, n, cfg.grid_size, cfg.tol))
@@ -296,9 +297,12 @@ def cmd_table(cfg: RunConfig) -> list[dict]:
         f = get_function(name)
         jackson_ok = f.smoothness.w20 and f.smoothness.dtilde_w2
         d2norm = dtilde_sup_norm(f, 2, cfg.grid_size) if jackson_ok else None
+        errors: dict[str, list[tuple[int, float]]] = {"U": [], "Utilde": []}
         for n in cfg.n_list:
-            err_u = sup_norm(lambda t, p=apply_U(f, n, cfg.tol): p.eval(t) - f.eval(t), cfg.grid_size).value
-            err_ut = sup_norm(lambda t, p=apply_Utilde(f, n, cfg.tol): p.eval(t) - f.eval(t), cfg.grid_size).value
+            err_u = sup_norm(Residual(apply_U(f, n, cfg.tol), f.eval), cfg.grid_size).value
+            err_ut = sup_norm(Residual(apply_Utilde(f, n, cfg.tol), f.eval), cfg.grid_size).value
+            errors["U"].append((n, err_u))
+            errors["Utilde"].append((n, err_ut))
             bound = d2norm / n**2 if d2norm is not None else None
             rows.append(
                 {
@@ -312,9 +316,9 @@ def cmd_table(cfg: RunConfig) -> list[dict]:
                 }
             )
         slopes = {}
-        for op in ("U", "Utilde"):
+        for op, op_errors in errors.items():
             try:
-                slopes[op], _ = rate_fit(f, cfg.n_list, op, cfg.grid_size, cfg.tol)
+                slopes[op] = loglog_slope(f.name, op_errors)
             except ValueError as exc:
                 slopes[op] = f"rejected: {exc}"
         rows.append(
@@ -426,6 +430,8 @@ def cmd_eval(cfg: RunConfig) -> list[dict]:
     """Evaluate a serialized Bernstein form ({"degree": n, "coeffs": [...]})."""
     with open(cfg.form_path, encoding="utf-8") as fh:
         form = BernsteinForm.from_json_dict(json.load(fh))
+    if not np.all(np.isfinite(form.coeffs)):
+        raise ValueError("the form has a non-finite coefficient")
     xs = parse_points(cfg.points)
     values = form.eval(xs)
     return [{"x": float(x), "value": float(v)} for x, v in zip(xs, values)]
@@ -513,6 +519,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ValueError("all n values must be >= 2")
     if args.grid < 64:
         raise ValueError("grid size must be >= 64")
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ValueError("tolerance must be a finite number > 0")
+    if args.probes < 0:
+        raise ValueError("probe count must be >= 0")
     return RunConfig(
         command=args.command,
         fns=fns,
@@ -543,6 +553,9 @@ def main(argv=None) -> int:
         rows = sorted(runner(cfg), key=_sort_key)
     except (OSError, ValueError, KeyError) as exc:
         print(f"gsops: configuration error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (ToleranceError, IntegrationError) as exc:
+        print(f"gsops: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     text = render(cfg, rows, columns)
     if cfg.out == "-":

@@ -294,6 +294,23 @@ def test_sandwich_t2_upper_at_most_smooth_candidate(n):
     assert sw.t == pytest.approx(1.0 / n**2, abs=0.0)
 
 
+def test_sandwich_t2_n2_exact_tie_at_one_quarter():
+    # Utilde_m reproduces t^2 up to rounding, so at t = 1/4 the candidates
+    # Utilde_2^3 f, Utilde_4^3 f and f itself all cost ||Dtilde^2 t^2|| / 4 = 1/4
+    # in exact arithmetic; the last bit picks the winner shown in the note
+    from gsops.analysis import DEFAULT_GRID, _candidate_cost
+    from gsops.operators import iterate_Utilde
+
+    f = get_function("t2")
+    t = 0.25
+    costs = {f"utilde3_m{m}": _candidate_cost(f, iterate_Utilde(f, m, 3), t, DEFAULT_GRID) for m in (2, 4)}
+    costs["f_itself"] = t * dtilde_sup_norm(f, 2)
+    for cost in costs.values():
+        assert abs(cost - 0.25) <= 4 * np.spacing(0.25)
+    sw = kfunctional_sandwich(f, 2)
+    assert sw.upper == min(costs.values()) and costs[sw.candidate_id] == sw.upper
+
+
 def test_sandwich_t2_n4_lower_value():
     sw = kfunctional_sandwich(get_function("t2"), 4)
     assert sw.lower == pytest.approx((1.0 / 40.0) / (1.0 + SQRT3), abs=1e-12)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -227,3 +228,46 @@ def test_eval_bad_points_is_usage_error(tmp_path):
     form_path.write_text('{"degree": 1, "coeffs": [0.0, 1.0]}', encoding="utf-8")
     code, _ = run_cli(tmp_path, "eval", "--form", str(form_path), "--points", "0.5,1.5")
     assert code == EXIT_USAGE
+
+
+# -- boundaries: bad input is a usage error, never a traceback or a NaN --------------
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_non_positive_or_non_finite_tol_is_usage_error(tol, capsys):
+    assert main(["table", "--fns", "exp", "--n", "4", "--tol", tol]) == EXIT_USAGE
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_negative_probes_is_usage_error(capsys):
+    assert main(["norms", "--fns", "t2", "--n", "4", "--probes", "-3"]) == EXIT_USAGE
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_unreachable_tolerance_is_usage_error_without_traceback(capsys):
+    # a valid but unreachable target: the quadrature raises ToleranceError
+    assert main(["table", "--fns", "exp", "--n", "4", "--tol", "1e-300"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("gsops: ToleranceError:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_eval_non_finite_coefficient_is_usage_error(tmp_path, capsys):
+    form_path = tmp_path / "nan.json"
+    form_path.write_text('{"degree": 2, "coeffs": [0, NaN, 1]}', encoding="utf-8")
+    code, text = run_cli(tmp_path, "eval", "--form", str(form_path), "--points", "0,0.5,1")
+    assert code == EXIT_USAGE
+    assert text == ""
+    assert "non-finite coefficient" in capsys.readouterr().err
+
+
+# -- byte identity with the recorded reference ----------------------------------------
+
+
+def test_table_rates_byte_identical_to_reference(tmp_path):
+    # n up to 256, the flat one/t rows (every grid point is a max candidate)
+    # and the slope rows fitted from the errors of the same run
+    reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "table.csv"
+    out = tmp_path / "table.csv"
+    assert main(["table", "--n", "16:2:5", "--seed", "1", "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == reference.read_bytes()

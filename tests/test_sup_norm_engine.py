@@ -1,0 +1,233 @@
+"""The sup-norm grid engine: in-place basis, cached grid bases, exact confirmation.
+
+The oracles are the straightforward forms the engine replaces: the
+level-by-level basis recurrence, and a sup norm that evaluates its argument
+by de Casteljau on the whole grid.  Both are copied here, so the comparisons
+are bit for bit.
+"""
+
+import math
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from gsops.analysis import (
+    DEFAULT_GRID,
+    GOLDEN_ITERATIONS,
+    GRID_BASIS_BUDGET,
+    Residual,
+    _chebyshev_grid,
+    _GRID_BASES,
+    _GridBasisCache,
+    sup_norm,
+)
+from gsops.basis import bernstein_matrix, tail_sums
+from gsops.catalog import get_function
+from gsops.operators import BernsteinForm, apply_U, apply_Utilde, dtilde_form, dtilde_of_function
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def level_by_level_basis(n, xs):
+    """The degree-raising recurrence with a fresh array per level."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    one_minus = 1.0 - xs
+    b = np.ones((xs.size, 1))
+    for j in range(1, n + 1):
+        nxt = np.empty((xs.size, j + 1))
+        nxt[:, 0] = one_minus * b[:, 0]
+        nxt[:, j] = xs * b[:, j - 1]
+        if j > 1:
+            nxt[:, 1:j] = xs[:, None] * b[:, : j - 1] + one_minus[:, None] * b[:, 1:j]
+        b = nxt
+    return b
+
+
+def full_grid_sup_norm(fn, grid_size=DEFAULT_GRID):
+    """(value, argmax) from |fn| on the whole grid, then golden-section refinement."""
+
+    def abs_values(pts):
+        vals = np.abs(np.asarray(fn(pts), dtype=float))
+        assert np.all(np.isfinite(vals))
+        return vals
+
+    xs = _chebyshev_grid(grid_size)
+    vals = abs_values(xs)
+    i = int(np.argmax(vals))
+    best_x, best_v = float(xs[i]), float(vals[i])
+    a = float(xs[max(i - 1, 0)])
+    b = float(xs[min(i + 1, xs.size - 1)])
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc = float(abs_values(np.array([c]))[0])
+    fd = float(abs_values(np.array([d]))[0])
+    for _ in range(GOLDEN_ITERATIONS):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = float(abs_values(np.array([c]))[0])
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = float(abs_values(np.array([d]))[0])
+    for x, v in ((c, fc), (d, fd)):
+        if v > best_v:
+            best_x, best_v = x, v
+    return best_v, best_x
+
+
+def assert_same_as_full_pass(fn, oracle_fn, grid_size=DEFAULT_GRID):
+    est = sup_norm(fn, grid_size)
+    value, argmax = full_grid_sup_norm(oracle_fn, grid_size)
+    assert est.value == value
+    assert est.argmax == argmax
+
+
+# -- bernstein_matrix ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 64, 257])
+def test_bernstein_matrix_matches_level_by_level_recurrence(n):
+    rng = np.random.default_rng(n)
+    points = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, 300), [0.0, 0.5, 1.0]))
+    for xs in (_chebyshev_grid(DEFAULT_GRID), points):
+        out = bernstein_matrix(n, xs)
+        assert out.shape == (xs.size, n + 1)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, level_by_level_basis(n, xs))
+
+
+def test_bernstein_matrix_empty_and_scalar_points():
+    assert bernstein_matrix(3, []).shape == (0, 4)
+    assert np.array_equal(bernstein_matrix(7, 0.3), level_by_level_basis(7, [0.3]))
+
+
+# -- sup_norm: screening confirmed by de Casteljau -------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sup_norm_random_forms_match_full_pass(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 300))
+    form = BernsteinForm(n, rng.normal(size=n + 1) * 10.0 ** rng.integers(-6, 6))
+    assert_same_as_full_pass(form, form.eval)
+    f = get_function("exp")
+    assert_same_as_full_pass(Residual(form, f.eval), lambda xs: form.eval(xs) - f.eval(xs))
+
+
+@pytest.mark.parametrize("name", ["one", "t"])
+@pytest.mark.parametrize("apply", [apply_U, apply_Utilde])
+def test_sup_norm_flat_operator_errors_match_full_pass(name, apply):
+    # operators reproduce linear functions, so the error is rounding noise and
+    # every grid point is a candidate for the max
+    f = get_function(name)
+    p = apply(f, 256)
+    assert_same_as_full_pass(Residual(p, f.eval), lambda xs: p.eval(xs) - f.eval(xs))
+
+
+def test_sup_norm_mirror_symmetric_maxima_match_full_pass():
+    # c_k = c_{n-k}: two equal humps mirrored about 1/2
+    n = 40
+    coeffs = np.zeros(n + 1)
+    coeffs[[8, n - 8]] = 1.0
+    form = BernsteinForm(n, coeffs)
+    assert_same_as_full_pass(form, form.eval)
+    assert_same_as_full_pass(dtilde_form(form), dtilde_form(form).eval)
+    flat = BernsteinForm(n, np.ones(n + 1))
+    assert_same_as_full_pass(flat, flat.eval)
+
+
+@pytest.mark.parametrize("name", ["t2", "exp", "sinpi"])
+@pytest.mark.parametrize("n", [4, 64, 256])
+def test_sup_norm_voronovskaya_residual_matches_full_pass(name, n):
+    f = get_function(name)
+    lam = tail_sums(n).lam
+    p = apply_Utilde(f, n)
+    d2f = dtilde_of_function(f, 2)
+    assert_same_as_full_pass(
+        Residual(p, f.eval, d2f, lam), lambda xs: p.eval(xs) - f.eval(xs) + lam * d2f(xs)
+    )
+
+
+def test_residual_call_is_the_lambda():
+    f = get_function("exp")
+    p = apply_Utilde(f, 9)
+    d2f = dtilde_of_function(f, 2)
+    xs = np.linspace(0.0, 1.0, 101)
+    assert np.array_equal(Residual(p, f.eval)(xs), p.eval(xs) - f.eval(xs))
+    assert np.array_equal(Residual(p, f.eval, d2f, 0.5)(xs), p.eval(xs) - f.eval(xs) + 0.5 * d2f(xs))
+
+
+def test_sup_norm_non_finite_form_still_rejected():
+    with pytest.raises(ValueError, match="non-finite"):
+        sup_norm(BernsteinForm(3, [0.0, np.nan, 1.0, 0.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        sup_norm(Residual(BernsteinForm(2, [0.0, np.inf, 0.0]), get_function("t2").eval))
+
+
+# -- the grid-basis cache ------------------------------------------------------------
+
+
+def test_grid_basis_cache_stays_within_budget():
+    row_bytes = 8 * (_chebyshev_grid(64).size)
+    cache = _GridBasisCache(budget=40 * row_bytes)  # room for 40 columns in total
+    kept_after = {
+        3: [3],
+        9: [3, 9],
+        15: [3, 9, 15],
+        -9: [3, 15, 9],  # a hit makes 9 the most recently used
+        20: [9, 20],  # 21 more columns: 3 and 15 go, least recently used first
+        30: [30],
+    }
+    for step, kept in kept_after.items():
+        n = abs(step)
+        basis = cache.get(n, 64)
+        assert np.array_equal(basis, bernstein_matrix(n, _chebyshev_grid(64)))
+        assert not basis.flags.writeable
+        assert [key[0] for key in cache._entries] == kept
+        assert cache.nbytes == sum(b.nbytes for b in cache._entries.values()) <= cache.budget
+    # a basis larger than the whole budget is returned but not kept
+    big = cache.get(60, 64)
+    assert big.shape == (_chebyshev_grid(64).size, 61)
+    assert [key[0] for key in cache._entries] == [30]
+
+
+def test_grid_basis_cache_hit_returns_the_same_array():
+    cache = _GridBasisCache(budget=GRID_BASIS_BUDGET)
+    assert cache.get(12, 64) is cache.get(12, 64)
+
+
+def test_module_cache_within_budget_after_a_sweep():
+    f = get_function("exp")
+    for n in (16, 64, 256, 512):
+        sup_norm(Residual(apply_Utilde(f, n), f.eval))
+        assert _GRID_BASES.nbytes <= GRID_BASIS_BUDGET
+
+
+def test_grid_basis_cache_concurrent_gets_keep_the_byte_count():
+    grid = _chebyshev_grid(64)
+    cache = _GridBasisCache(budget=60 * 8 * grid.size)
+    expected = {n: bernstein_matrix(n, grid) for n in range(1, 30)}
+    errors = []
+
+    def worker(seed):
+        rng = np.random.default_rng(seed)
+        for n in rng.integers(1, 30, size=200):
+            if not np.array_equal(cache.get(int(n), 64), expected[int(n)]):
+                errors.append(int(n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert cache.nbytes == sum(b.nbytes for b in cache._entries.values()) <= cache.budget
