@@ -9,10 +9,8 @@ K-functional estimates at desk scale, and measures convergence rates.
 __version__ = "0.1.0"
 
 from .basis import (
-    BasisVector,
     TailSums,
     bernstein_matrix,
-    bernstein_vector,
     moment,
     phi_big,
     t_double_prime,
@@ -42,7 +40,7 @@ from .operators import (
     dtilde_of_function,
     iterate_Utilde,
 )
-from .quadrature import QuadratureRule, gauss_legendre, integrate, u_coefficients_numeric
+from .quadrature import QuadratureRule, gauss_legendre, u_coefficients_numeric
 from .analysis import (
     BERNSTEIN_CONSTANT,
     CONVERSE_CONSTANT,

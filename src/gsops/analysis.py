@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import bernstein_matrix, tail_sums, xi_zero
+from .basis import bernstein_matrix, t_matrix, tail_sums, xi_zero
 from .catalog import FunctionSpec
 from .errors import PreconditionError
 from .operators import (
@@ -51,6 +51,7 @@ __all__ = [
     "InequalityReport",
     "Residual",
     "sup_norm",
+    "distance",
     "dtilde_sup_norm",
     "lebesgue_bound",
     "check_contraction_U",
@@ -103,7 +104,6 @@ class SupNormEstimate:
     value: float
     argmax: float
     grid_size: int
-    refined: bool
 
 
 @dataclass(frozen=True)
@@ -111,15 +111,19 @@ class KfSandwich:
     """Two-sided enclosure of the K-functional at t = 1/n^2.
 
     ``upper`` is achieved by a concrete admissible candidate (recorded in
-    ``candidate_id``), hence a true upper bound of the infimum; ``lower`` is
-    ||Utilde_n f - f|| / (1 + sqrt 3), a true lower bound by the direct
-    theorem.
+    ``candidate_id``), hence a true upper bound of the infimum; ``err`` is
+    the operator error ||Utilde_n f - f||, and ``lower`` = err / (1 + sqrt 3)
+    is a true lower bound by the direct theorem.
     """
 
     t: float
-    lower: float
+    err: float
     upper: float
     candidate_id: str
+
+    @property
+    def lower(self) -> float:
+        return self.err / (1.0 + SQRT3)
 
 
 @dataclass(frozen=True)
@@ -311,11 +315,12 @@ def sup_norm(fn: BernsteinForm | Residual | Callable, grid_size: int = DEFAULT_G
     for x, v in ((c, fc), (d, fd)):
         if v > best_v:
             best_x, best_v = x, v
-    return SupNormEstimate(value=best_v, argmax=best_x, grid_size=grid_size, refined=True)
+    return SupNormEstimate(value=best_v, argmax=best_x, grid_size=grid_size)
 
 
-def _difference(p: BernsteinForm, f: FunctionSpec) -> Residual:
-    return Residual(p, f.eval)
+def distance(p: BernsteinForm, f: FunctionSpec, grid_size: int = DEFAULT_GRID) -> float:
+    """The operator error ||p - f|| of a Bernstein form p against f."""
+    return sup_norm(Residual(p, f.eval), grid_size).value
 
 
 def dtilde_sup_norm(f: FunctionSpec, ell: int, grid_size: int = DEFAULT_GRID) -> float:
@@ -358,8 +363,7 @@ def check_contraction_U(
 ) -> InequalityReport:
     """||U_n f - f|| <= (1/n) ||Dtilde f||."""
     _require(f.smoothness.w2, f, "f in W^2(phi)")
-    p = apply_U(f, n, tol)
-    lhs = sup_norm(_difference(p, f), grid_size).value
+    lhs = distance(apply_U(f, n, tol), f, grid_size)
     rhs = dtilde_sup_norm(f, 1, grid_size) / n
     return InequalityReport("contraction_U", f.name, n, lhs, rhs)
 
@@ -369,8 +373,7 @@ def check_contraction_Utilde(
 ) -> InequalityReport:
     """||Utilde_n f - f|| <= (2/n) ||Dtilde f||."""
     _require(f.smoothness.w2, f, "f in W^2(phi)")
-    p = apply_Utilde(f, n, tol)
-    lhs = sup_norm(_difference(p, f), grid_size).value
+    lhs = distance(apply_Utilde(f, n, tol), f, grid_size)
     rhs = 2.0 * dtilde_sup_norm(f, 1, grid_size) / n
     return InequalityReport("contraction_Utilde", f.name, n, lhs, rhs)
 
@@ -381,8 +384,7 @@ def check_jackson(
     """Jackson-type bound ||Utilde_n f - f|| <= (1/n^2) ||Dtilde^2 f||."""
     _require(f.smoothness.w20, f, "f in W^2_0(phi)")
     _require(f.smoothness.dtilde_w2, f, "Dtilde f in W^2(phi)")
-    p = apply_Utilde(f, n, tol)
-    lhs = sup_norm(_difference(p, f), grid_size).value
+    lhs = distance(apply_Utilde(f, n, tol), f, grid_size)
     rhs = dtilde_sup_norm(f, 2, grid_size) / n**2
     return InequalityReport("jackson", f.name, n, lhs, rhs)
 
@@ -457,7 +459,7 @@ def _decomposition_parts(n: int, xs: np.ndarray, B: np.ndarray, B1: np.ndarray):
     kk1 = k * (k - 1.0)
     mm1 = (n - k) * (n - k - 1.0)
 
-    T = np.outer(1.0 - xs, kk1) * inv_x[:, None] - 2.0 * k * (n - k) + np.outer(xs, mm1) * inv_1mx[:, None]
+    T = t_matrix(n, xs)
     Tp = -np.outer(inv_x**2, kk1) + np.outer(inv_1mx**2, mm1)
     Tpp = 2.0 * np.outer(inv_x**3, kk1) + 2.0 * np.outer(inv_1mx**3, mm1)
 
@@ -517,7 +519,7 @@ def check_bn_decomposition(n: int, grid_size: int = DEFAULT_GRID) -> list[Inequa
 
 
 def _candidate_cost(f: FunctionSpec, g: BernsteinForm, t: float, grid_size: int) -> float:
-    dist = sup_norm(_difference(g, f), grid_size).value
+    dist = distance(g, f, grid_size)
     d2 = sup_norm(dtilde_form(dtilde_form(g)), grid_size).value
     return dist + t * d2
 
@@ -535,8 +537,8 @@ def kfunctional_sandwich(
     candidates g = Utilde_m^3 f for m in ``candidate_ms`` (default n, 2n, 4n,
     8n) plus g = f itself when f is smooth enough; second derivatives of
     candidates always come from the exact coefficient map, never from
-    numerical differentiation.  The lower bound is the operator error divided
-    by 1 + sqrt(3).
+    numerical differentiation.  The operator error ||Utilde_n f - f|| is kept
+    as ``err``; divided by 1 + sqrt(3) it is the lower bound.
 
     Candidates whose costs tie in exact arithmetic (at t2, n = 2 the
     candidates m = 2, m = 4 and f itself all cost 1/4) are ranked by the last
@@ -562,8 +564,8 @@ def kfunctional_sandwich(
         if cost < best_cost:
             best_cost, best_id = cost, "f_itself"
 
-    err_n = sup_norm(_difference(apply_Utilde(f, n, tol), f), grid_size).value
-    return KfSandwich(t=t, lower=err_n / (1.0 + SQRT3), upper=best_cost, candidate_id=best_id)
+    err_n = distance(apply_Utilde(f, n, tol), f, grid_size)
+    return KfSandwich(t=t, err=err_n, upper=best_cost, candidate_id=best_id)
 
 
 def check_direct(
@@ -572,17 +574,18 @@ def check_direct(
     candidate_ms: Sequence[int] | None = None,
     grid_size: int = DEFAULT_GRID,
     tol: float = DEFAULT_TOL,
-) -> InequalityReport:
-    """Direct theorem: ||Utilde_n f - f|| <= (1 + sqrt 3) K(f, 1/n^2).
+) -> list[InequalityReport]:
+    """The sandwich and the direct theorem, both from one sandwich.
 
-    Uses the sandwich upper bound in place of K, which only strengthens the
-    inequality being verified.
+    Reports kf_sandwich (lower <= upper) and direct,
+    ||Utilde_n f - f|| <= (1 + sqrt 3) K(f, 1/n^2).  Uses the sandwich upper
+    bound in place of K, which only strengthens the inequality being verified.
     """
     sw = kfunctional_sandwich(f, n, candidate_ms, grid_size, tol)
-    lhs = sup_norm(_difference(apply_Utilde(f, n, tol), f), grid_size).value
-    return InequalityReport(
-        "direct", f.name, n, lhs, (1.0 + SQRT3) * sw.upper, note=sw.candidate_id
-    )
+    return [
+        InequalityReport("kf_sandwich", f.name, n, sw.lower, sw.upper, note=sw.candidate_id),
+        InequalityReport("direct", f.name, n, sw.err, (1.0 + SQRT3) * sw.upper, note=sw.candidate_id),
+    ]
 
 
 def check_converse(
@@ -610,15 +613,13 @@ def check_converse(
             f"(L = {CONVERSE_SCALE_FACTOR:.6f})"
         )
     sw = kfunctional_sandwich(f, n, candidate_ms, grid_size, tol)
-    err_n = sup_norm(_difference(apply_Utilde(f, n, tol), f), grid_size).value
-    err_ell = sup_norm(_difference(apply_Utilde(f, ell, tol), f), grid_size).value
-    rhs = CONVERSE_CONSTANT * (ell / n) ** 2 * (err_n + err_ell)
+    err_ell = distance(apply_Utilde(f, ell, tol), f, grid_size)
+    rhs = CONVERSE_CONSTANT * (ell / n) ** 2 * (sw.err + err_ell)
     main = InequalityReport("converse", f.name, n, sw.upper, rhs, ell=ell, note=sw.candidate_id)
 
-    g3 = iterate_Utilde(f, n, 3, tol)
-    lhs3 = sup_norm(_difference(g3, f), grid_size).value
+    lhs3 = distance(iterate_Utilde(f, n, 3, tol), f, grid_size)
     iterate_report = InequalityReport(
-        "iterate_contraction", f.name, n, lhs3, (4.0 + SQRT3) * err_n
+        "iterate_contraction", f.name, n, lhs3, (4.0 + SQRT3) * sw.err
     )
     return [main, iterate_report]
 
@@ -665,8 +666,5 @@ def rate_fit(
         raise ValueError("operator must be 'U' or 'Utilde'")
     op = apply_U if operator == "U" else apply_Utilde
 
-    rows: list[tuple[int, float]] = []
-    for n in ns:
-        err = sup_norm(_difference(op(f, n, tol), f), grid_size).value
-        rows.append((n, err))
+    rows = [(n, distance(op(f, n, tol), f, grid_size)) for n in ns]
     return loglog_slope(f.name, rows), rows

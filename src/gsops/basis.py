@@ -24,15 +24,12 @@ import numpy as np
 from .errors import InvariantViolation
 
 __all__ = [
-    "BasisVector",
     "TailSums",
-    "bernstein_vector",
     "bernstein_matrix",
     "t_value",
-    "t_value_centered",
     "t_prime",
     "t_double_prime",
-    "t_values_all",
+    "t_matrix",
     "xi_zero",
     "moment",
     "tail_sums",
@@ -42,20 +39,6 @@ __all__ = [
 #: Below this distance from a singular endpoint the T functions refuse to
 #: evaluate instead of returning huge or infinite values.
 SINGULAR_EDGE = 1e-30
-
-
-@dataclass(frozen=True)
-class BasisVector:
-    """All Bernstein basis values of one degree at one point.
-
-    values[k] = P_{n,k}(x); the entries are nonnegative on [0,1], sum to 1 up
-    to a few n machine epsilons, and vanish exactly in the endpoint
-    degeneracies (x = 0 with k > 0, x = 1 with k < n).
-    """
-
-    n: int
-    x: float
-    values: np.ndarray
 
 
 #: Points per chunk of the recurrence in bernstein_matrix.
@@ -102,12 +85,6 @@ def bernstein_matrix(n: int, xs) -> np.ndarray:
     return out
 
 
-def bernstein_vector(n: int, x: float) -> BasisVector:
-    """All P_{n,k}(x) for k = 0..n via the triangular recurrence."""
-    values = bernstein_matrix(n, [x])[0]
-    return BasisVector(n=n, x=float(x), values=values)
-
-
 def _check_t_domain(n: int, k: int, x: float) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -136,20 +113,6 @@ def t_value(n: int, k: int, x: float) -> float:
     return first - 2.0 * k * (n - k) + last
 
 
-def t_value_centered(n: int, k: int, x: float) -> float:
-    """The centered-moment form of T_{n,k} (equivalent algebraic rewriting).
-
-    n * [-1 - (1-2x)/phi * (k/n - x) + n/phi * (k/n - x)^2]; kept as a
-    cross-check of the rational form, which is the one used everywhere.
-    """
-    _check_t_domain(n, k, x)
-    if x <= 0.0 or x >= 1.0:
-        raise ValueError("centered form requires 0 < x < 1")
-    phi = x * (1.0 - x)
-    u = k / n - x
-    return n * (-1.0 - (1.0 - 2.0 * x) / phi * u + n / phi * u * u)
-
-
 def t_prime(n: int, k: int, x: float) -> float:
     """T'_{n,k}(x) = -k(k-1)/x^2 + (n-k)(n-k-1)/(1-x)^2."""
     _check_t_domain(n, k, x)
@@ -166,23 +129,23 @@ def t_double_prime(n: int, k: int, x: float) -> float:
     return first + last
 
 
-def _t_matrix(n: int, xs: np.ndarray) -> np.ndarray:
-    """T_{n,k}(xs[i]) as an (len(xs), n+1) array; xs strictly interior."""
+def t_matrix(n: int, xs) -> np.ndarray:
+    """T_{n,k}(xs[i]) for all k = 0..n as a (len(xs), n+1) array.
+
+    The vectorized form of t_value at points strictly inside (0, 1); the
+    endpoint limits are t_value's alone.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if xs.size == 0 or not (xs.min() > 0.0 and xs.max() < 1.0):
+        raise ValueError("x must lie strictly inside (0, 1)")
     k = np.arange(n + 1, dtype=float)
     return (
         np.outer((1.0 - xs) / xs, k * (k - 1))
         - 2.0 * k * (n - k)
         + np.outer(xs / (1.0 - xs), (n - k) * (n - k - 1))
     )
-
-
-def t_values_all(n: int, x: float) -> np.ndarray:
-    """T_{n,k}(x) for all k = 0..n at an interior point, vectorized."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 < x < 1.0:
-        raise ValueError("x must lie strictly inside (0, 1)")
-    return _t_matrix(n, np.array([float(x)]))[0]
 
 
 def xi_zero(n: int, k: int) -> float:
@@ -280,13 +243,9 @@ def phi_big(alpha: float, n: int, x):
     the independent oracle, not the implementation.  x may be a scalar or an
     array of strictly interior points.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     xs = np.asarray(x, dtype=float)
     pts = np.atleast_1d(xs)
-    if pts.size == 0 or pts.min() <= 0.0 or pts.max() >= 1.0:
-        raise ValueError("x must lie strictly inside (0, 1)")
-    t = _t_matrix(n, pts)
+    t = t_matrix(n, pts)
     p = bernstein_matrix(n, pts)
     out = np.sum((alpha - t / n) ** 2 * p, axis=1)
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)

@@ -12,7 +12,6 @@ number of threads is safe.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,15 +137,6 @@ class RationalPoly:
 
     def max_abs_coeff(self) -> Fraction:
         return max((abs(c) for c in self.coeffs), default=Fraction(0))
-
-    # -- serialization: JSON array of "num/den" strings ----------------------
-
-    def to_json(self) -> str:
-        return json.dumps([f"{c.numerator}/{c.denominator}" for c in self.coeffs])
-
-    @classmethod
-    def from_json(cls, text: str) -> "RationalPoly":
-        return cls(json.loads(text))
 
 
 #: The weight phi(x) = x(1 - x).

@@ -2,11 +2,12 @@
 
 Rule generation finds the Legendre roots by Newton iteration from Chebyshev
 initial guesses; a rule of size m integrates polynomials up to degree 2m-1
-exactly.  Composite integration and the adaptive computation of the operator
-coefficients u_{n,k}(f) for non-polynomial f live here too.
+exactly.  The adaptive computation of the operator coefficients u_{n,k}(f)
+by composite rules lives here too.
 
-Rules are immutable and shareable across threads; integration callbacks must
-be safe for concurrent invocation (they receive a whole ndarray of points).
+Rules are immutable and shareable across threads; a function's evaluation
+must be safe for concurrent invocation (it receives a whole ndarray of
+points).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .errors import IntegrationError, ToleranceError
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import FunctionSpec
 
-__all__ = ["QuadratureRule", "gauss_legendre", "integrate", "u_coefficients_numeric"]
+__all__ = ["QuadratureRule", "gauss_legendre", "u_coefficients_numeric"]
 
 MAX_RULE_SIZE = 512
 MAX_PANELS = 1024  # 2**10
@@ -94,21 +95,6 @@ def _panel_points(rule: QuadratureRule, panels: int) -> tuple[np.ndarray, np.nda
     pts = ((offsets + rule.nodes[None, :]) / panels).ravel()
     wts = np.tile(rule.weights / panels, panels)
     return pts, wts
-
-
-def integrate(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule, panels: int = 1) -> float:
-    """Composite rule over ``panels`` equal subintervals of [0,1].
-
-    ``f`` is called once with the full array of nodes and must return the
-    values; any non-finite value aborts the integration.
-    """
-    if panels < 1:
-        raise ValueError("panels must be >= 1")
-    pts, wts = _panel_points(rule, panels)
-    vals = np.asarray(f(pts), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise IntegrationError("integrand returned a non-finite value at a quadrature node")
-    return float(np.dot(wts, vals))
 
 
 def _interior_coefficients(

@@ -20,6 +20,7 @@ from gsops.analysis import (
     check_direct,
     check_jackson,
     check_voronovskaya,
+    distance,
     dtilde_sup_norm,
     kfunctional_sandwich,
     lebesgue_bound,
@@ -58,7 +59,6 @@ def test_sup_norm_parabola():
     est = sup_norm(lambda x: 2.0 * np.asarray(x) * (1.0 - np.asarray(x)))
     assert est.value == pytest.approx(0.5, abs=1e-14)
     assert est.argmax == pytest.approx(0.5, abs=1e-6)
-    assert est.refined
 
 
 def test_sup_norm_operator_error_closed_form():
@@ -331,11 +331,28 @@ def test_sandwich_empty_candidates_rejected():
 
 def test_direct_inequality():
     for name in ("t2", "exp", "abs52"):
-        rep = check_direct(get_function(name), 4)
-        assert rep.passed
+        f = get_function(name)
+        sandwich, direct = check_direct(f, 4)
+        assert (sandwich.name, direct.name) == ("kf_sandwich", "direct")
+        assert sandwich.passed and direct.passed
+        # one sandwich: the direct row's lhs is its error, the sandwich's lhs its lower bound
+        sw = kfunctional_sandwich(f, 4)
+        assert direct.lhs == sw.err == distance(apply_Utilde(f, 4), f)
+        assert sandwich.lhs == sw.lower == sw.err / (1.0 + SQRT3)
+        assert (sandwich.rhs, direct.rhs) == (sw.upper, (1.0 + SQRT3) * sw.upper)
 
 
 # -- converse ---------------------------------------------------------------------
+
+
+def test_converse_uses_the_sandwich_error():
+    f = get_function("exp")
+    main, iterate = check_converse(f, 2, 32)
+    sw = kfunctional_sandwich(f, 2)
+    err_ell = distance(apply_Utilde(f, 32), f)
+    assert main.lhs == sw.upper
+    assert main.rhs == CONVERSE_CONSTANT * (32 / 2) ** 2 * (sw.err + err_ell)
+    assert iterate.rhs == (4.0 + SQRT3) * sw.err
 
 
 def test_converse_t2_n2_huge_margin():

@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 
 from gsops.basis import (
     bernstein_matrix,
-    bernstein_vector,
     moment,
     phi_big,
     t_double_prime,
+    t_matrix,
     t_prime,
     t_value,
-    t_value_centered,
-    t_values_all,
     tail_sums,
     xi_zero,
 )
@@ -32,8 +30,23 @@ def basis_binomial(n: int, k: int, x: float) -> float:
     return math.comb(n, k) * x**k * (1.0 - x) ** (n - k)
 
 
+def basis_at(n: int, x: float) -> np.ndarray:
+    """All P_{n,k}(x), k = 0..n, at one point."""
+    return bernstein_matrix(n, [x])[0]
+
+
+def t_centered(n: int, k: int, x: float) -> float:
+    """The centered-moment form of T_{n,k}, an algebraic rewriting (test oracle only).
+
+    n * [-1 - (1-2x)/phi * (k/n - x) + n/phi * (k/n - x)^2] for 0 < x < 1.
+    """
+    phi = x * (1.0 - x)
+    u = k / n - x
+    return n * (-1.0 - (1.0 - 2.0 * x) / phi * u + n / phi * u * u)
+
+
 def moment_bruteforce(n: int, i: int, x: float) -> float:
-    vals = bernstein_vector(n, x).values
+    vals = basis_at(n, x)
     k = np.arange(n + 1)
     return float(np.sum((k / n - x) ** i * vals))
 
@@ -65,25 +78,25 @@ def tail_sums_reference(n: int, cutoff: int = 500_000) -> tuple[float, float]:
     return lam, th
 
 
-# -- bernstein_vector ---------------------------------------------------------
+# -- basis at one point --------------------------------------------------------
 
 
 def test_linear_basis():
-    assert bernstein_vector(1, 0.3).values == pytest.approx([0.7, 0.3], abs=1e-15)
+    assert basis_at(1, 0.3) == pytest.approx([0.7, 0.3], abs=1e-15)
 
 
 def test_endpoint_degeneracy_exact():
-    assert list(bernstein_vector(4, 0.0).values) == [1.0, 0.0, 0.0, 0.0, 0.0]
-    assert list(bernstein_vector(4, 1.0).values) == [0.0, 0.0, 0.0, 0.0, 1.0]
+    assert list(basis_at(4, 0.0)) == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert list(basis_at(4, 1.0)) == [0.0, 0.0, 0.0, 0.0, 1.0]
     # zeros occur exactly and only in the endpoint pattern
-    assert np.all(bernstein_vector(6, 0.37).values > 0.0)
+    assert np.all(basis_at(6, 0.37) > 0.0)
 
 
 def test_against_binomial_formula_at_half():
     # x = 0.5 is exactly representable; direct binomial formula is the oracle
     expected = [basis_binomial(4, k, 0.5) for k in range(5)]
     assert expected == pytest.approx([1 / 16, 4 / 16, 6 / 16, 4 / 16, 1 / 16], abs=0.0)
-    assert bernstein_vector(4, 0.5).values == pytest.approx(expected, abs=1e-16)
+    assert basis_at(4, 0.5) == pytest.approx(expected, abs=1e-16)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 31, 64, 127, 256, 500])
@@ -140,9 +153,9 @@ def test_eigen_relation_phi_second_derivative(n):
 
 def test_bernstein_domain_errors():
     with pytest.raises(ValueError):
-        bernstein_vector(3, -0.1)
+        basis_at(3, -0.1)
     with pytest.raises(ValueError):
-        bernstein_vector(3, 1.1)
+        basis_at(3, 1.1)
     with pytest.raises(ValueError):
         bernstein_matrix(-1, [0.5])
 
@@ -150,7 +163,7 @@ def test_bernstein_domain_errors():
 @given(st.integers(min_value=0, max_value=80), st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=60, deadline=None)
 def test_basis_nonnegative_and_normalized(n, x):
-    vals = bernstein_vector(n, x).values
+    vals = basis_at(n, x)
     assert np.all(vals >= 0.0)
     assert abs(float(np.sum(vals)) - 1.0) <= 8 * max(n, 1) * EPS
 
@@ -188,7 +201,7 @@ def test_t_forms_agree(n):
     for k in range(n + 1):
         for x in xs:
             t1 = t_value(n, k, float(x))
-            t2 = t_value_centered(n, k, float(x))
+            t2 = t_centered(n, k, float(x))
             tbar = (
                 k * (k - 1) * (1 - x) / x
                 + 2 * k * (n - k)
@@ -201,9 +214,29 @@ def test_t_forms_agree(n):
 def test_sum_t_times_basis_vanishes(n):
     # Dtilde annihilates the partition of unity, so sum_k T P = 0
     for x in (0.123, 0.5, 0.87):
-        vals = bernstein_vector(n, x).values
-        total = float(np.dot(t_values_all(n, x), vals))
+        vals = basis_at(n, x)
+        total = float(np.dot(t_matrix(n, [x])[0], vals))
         assert abs(total) <= 1e-10 * n**2
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_t_matrix_matches_t_value(n):
+    xs = np.array([1e-3, 0.2, 0.5, 0.77, 1.0 - 1e-3])
+    got = t_matrix(n, xs)
+    assert got.shape == (xs.size, n + 1)
+    for i, x in enumerate(xs):
+        for k in range(n + 1):
+            t = t_value(n, k, float(x))
+            assert abs(got[i, k] - t) <= 1e-12 * (abs(t) + n * n)
+
+
+def test_t_matrix_interior_only():
+    # the endpoint limits belong to the scalar t_value
+    for xs in ([0.0, 0.5], [0.5, 1.0], [0.5, np.nan], []):
+        with pytest.raises(ValueError, match="strictly inside"):
+            t_matrix(5, xs)
+    with pytest.raises(ValueError):
+        t_matrix(0, [0.5])
 
 
 def test_t_prime_examples():

@@ -1,12 +1,20 @@
 """Tests for the command-line front end: exit codes, formats, determinism."""
 
+import contextlib
+import csv
+import io
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gsops.cli import EXIT_OK, EXIT_USAGE, main, parse_n_spec
+from gsops.catalog import catalog_names
+from gsops.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main, parse_n_spec
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 
 def run_cli(tmp_path, *args, name="out.csv"):
@@ -230,6 +238,16 @@ def test_eval_bad_points_is_usage_error(tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("points", ["nan,0.5", "0.5,inf", "0.5,-inf"])
+def test_eval_non_finite_points_is_usage_error(tmp_path, capsys, points):
+    form_path = tmp_path / "f.json"
+    form_path.write_text('{"degree": 1, "coeffs": [0.0, 1.0]}', encoding="utf-8")
+    code, text = run_cli(tmp_path, "eval", "--form", str(form_path), "--points", points)
+    assert code == EXIT_USAGE
+    assert text == ""
+    assert "points must be finite" in capsys.readouterr().err
+
+
 # -- boundaries: bad input is a usage error, never a traceback or a NaN --------------
 
 
@@ -252,6 +270,16 @@ def test_unreachable_tolerance_is_usage_error_without_traceback(capsys):
     assert "Traceback" not in err
 
 
+def test_csv_note_with_comma_keeps_the_header_width(tmp_path):
+    # the quadrature failure note names u_{4,k}, whose comma is quoted
+    code, text = run_cli(tmp_path, "voronovskaya", "--fns", "exp", "--n", "4", "--tol", "1e-300")
+    assert code == EXIT_VIOLATION
+    header, row = csv.reader(text.splitlines()[1:])
+    assert len(row) == len(header)
+    note = dict(zip(header, row))["note"]
+    assert note.startswith("ToleranceError: u_{4,k}(exp) did not reach tol=1e-300")
+
+
 def test_eval_non_finite_coefficient_is_usage_error(tmp_path, capsys):
     form_path = tmp_path / "nan.json"
     form_path.write_text('{"degree": 2, "coeffs": [0, NaN, 1]}', encoding="utf-8")
@@ -264,10 +292,90 @@ def test_eval_non_finite_coefficient_is_usage_error(tmp_path, capsys):
 # -- byte identity with the recorded reference ----------------------------------------
 
 
-def test_table_rates_byte_identical_to_reference(tmp_path):
-    # n up to 256, the flat one/t rows (every grid point is a max candidate)
-    # and the slope rows fitted from the errors of the same run
-    reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "table.csv"
-    out = tmp_path / "table.csv"
-    assert main(["table", "--n", "16:2:5", "--seed", "1", "--out", str(out)]) == EXIT_OK
-    assert out.read_bytes() == reference.read_bytes()
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # n up to 256, the flat one/t rows (every grid point is a max
+        # candidate) and the slope rows fitted from the errors of the same run
+        ["table", "--n", "16:2:5"],
+        # the kf_sandwich and direct rows built from one sandwich, whose error
+        # is the direct row's lhs; the t2, n = 2 notes rest on a last-bit tie
+        ["kfunc", "--fns", "t2,exp,abs52", "--n", "2:2:5", "--ell-mult", "16"],
+    ],
+    ids=["table", "kfunc"],
+)
+def test_table_rates_byte_identical_to_reference(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--seed", "1", "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (REFERENCE / f"{argv[0]}.csv").read_bytes()
+
+
+# -- fuzz: every command over bounded inputs ----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def form_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("form") / "form.json"
+    path.write_text('{"degree": 3, "coeffs": [0.0, -1.0, 2.5, 1.0]}', encoding="utf-8")
+    return str(path)
+
+
+_POINT = st.one_of(st.floats(min_value=0.0, max_value=1.0), st.just(float("nan")))
+
+
+@st.composite
+def cli_argv(draw, form_path: str) -> list[str]:
+    command = draw(st.sampled_from(["verify", "table", "norms", "kfunc", "voronovskaya", "converse", "eval"]))
+    fns = draw(st.lists(st.sampled_from(catalog_names()), min_size=1, max_size=2, unique=True))
+    ns = draw(st.lists(st.integers(min_value=2, max_value=8), min_size=1, max_size=4))
+    argv = [
+        command,
+        "--fns", ",".join(fns),
+        "--n", ",".join(map(str, ns)),
+        "--grid", str(draw(st.integers(min_value=64, max_value=128))),
+        "--tol", draw(st.sampled_from(["1e-8", "1e-300"])),
+        "--probes", str(draw(st.integers(min_value=0, max_value=3))),
+        "--ell-mult", str(draw(st.integers(min_value=0, max_value=20))),
+        "--format", draw(st.sampled_from(["csv", "json"])),
+        "--seed", str(draw(st.integers(min_value=0, max_value=9))),
+    ]
+    if command == "eval":
+        points = draw(st.lists(_POINT, min_size=1, max_size=4))
+        argv += ["--form", form_path, "--points=" + ",".join(map(repr, points))]
+    return argv
+
+
+def _assert_finite(value) -> None:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        return
+    assert math.isfinite(number), f"non-finite field {value!r}"
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_cli_fuzz_bounded_inputs(form_file, data):
+    argv = data.draw(cli_argv(form_file))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()
+    text = out.getvalue()
+    if code == EXIT_USAGE:
+        return
+    if argv[argv.index("--format") + 1] == "json":
+        doc = json.loads(text)
+        for row in doc["rows"]:
+            for value in row.values():
+                _assert_finite(value)
+        return
+    header, *rows = csv.reader(line for line in text.splitlines() if not line.startswith("#"))
+    for row in rows:
+        assert len(row) == len(header), row
+        for value in row:
+            _assert_finite(value)

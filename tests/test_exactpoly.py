@@ -76,12 +76,6 @@ def test_derivative_and_eval_float():
     assert p.eval_float(0.5) == pytest.approx(1.75)
 
 
-def test_json_round_trip():
-    p = RationalPoly(["-3/7", "0/1", "22/5"])
-    assert RationalPoly.from_json(p.to_json()) == p
-    assert p.to_json() == '["-3/7", "0/1", "22/5"]'
-
-
 # -- Bernstein form conversions ----------------------------------------------
 
 
