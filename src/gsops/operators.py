@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -136,8 +135,8 @@ def u_coefficient_matrix(n: int, operand_degree: int) -> np.ndarray:
         (n-1) * int P_{n-2,k-1} P_{N,j}
             = (n-1) C(n-2,k-1) C(N,j) / (C(n-2+N, k-1+j) * (n-1+N)),
 
-    evaluated in exact rational arithmetic and rounded once to float.  The
-    endpoint rows pick off p(0) and p(1).
+    each one integer quotient, which int/int true division rounds once,
+    correctly, to float.  The endpoint rows pick off p(0) and p(1).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -145,13 +144,11 @@ def u_coefficient_matrix(n: int, operand_degree: int) -> np.ndarray:
     A = np.zeros((n + 1, N + 1))
     A[0, 0] = 1.0
     A[n, N] = 1.0
+    col = [math.comb(N, j) for j in range(N + 1)]
+    den = [(n - 1 + N) * math.comb(n - 2 + N, i) for i in range(n - 1 + N)]
     for k in range(1, n):
-        for j in range(N + 1):
-            val = Fraction(
-                (n - 1) * math.comb(n - 2, k - 1) * math.comb(N, j),
-                math.comb(n - 2 + N, k - 1 + j) * (n - 1 + N),
-            )
-            A[k, j] = float(val)
+        top = (n - 1) * math.comb(n - 2, k - 1)
+        A[k] = [top * c / d for c, d in zip(col, den[k - 1:])]
     A.setflags(write=False)
     return A
 

@@ -5,16 +5,34 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsops.basis import bernstein_matrix, t_matrix
 from gsops.catalog import catalog_names
-from gsops.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main, parse_n_spec
+from gsops.cli import (
+    _COLUMNS,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VIOLATION,
+    _eigen_relation_dev,
+    _fail_row,
+    build_parser,
+    config_from_args,
+    main,
+    parse_n_spec,
+    render,
+)
 
-REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE = ROOT / "perfbench" / "reference"
 
 
 def run_cli(tmp_path, *args, name="out.csv"):
@@ -71,6 +89,39 @@ def test_verify_small_passes(tmp_path):
     assert all(not line.endswith(",fail") for line in lines[2:])
     assert any(line.startswith("telescope,t2,") for line in lines)
     assert any(line.startswith("phi_identity,") for line in lines)
+
+
+def eigen_relation_dev_loop(n: int, xs: np.ndarray) -> float:
+    """Oracle: the eigen-relation deviation with phi P'' built one column at a time."""
+    B = bernstein_matrix(n, xs)
+    B2 = bernstein_matrix(n - 2, xs)
+    phi = xs * (1.0 - xs)
+    k = np.arange(n + 1, dtype=float)
+    second = np.zeros_like(B)
+    for j in range(n + 1):
+        acc = np.zeros_like(xs)
+        if j >= 2:
+            acc += B2[:, j - 2]
+        if 1 <= j <= n - 1:
+            acc -= 2.0 * B2[:, j - 1]
+        if j <= n - 2:
+            acc += B2[:, j]
+        second[:, j] = n * (n - 1) * acc
+    lhs = phi[:, None] * second
+    T = t_matrix(n, xs)
+    Tbar = T + 4.0 * k * (n - k)
+    rhs = T * B
+    mask = B > 1e-30
+    dev = np.abs(lhs - rhs)[mask] / (Tbar * B + 1e-300)[mask]
+    return float(np.max(dev))
+
+
+def test_eigen_relation_dev_matches_loop_oracle():
+    # every n: a reordered second difference moves the result only at some n
+    # (9 and 33, say, but not 2, 3, 16 or 128)
+    xs = np.linspace(0.02, 0.98, 25)  # the verify grid
+    for n in range(2, 129):
+        assert _eigen_relation_dev(n, xs) == eigen_relation_dev_loop(n, xs), n
 
 
 def test_verify_deterministic(tmp_path):
@@ -270,14 +321,34 @@ def test_unreachable_tolerance_is_usage_error_without_traceback(capsys):
     assert "Traceback" not in err
 
 
-def test_csv_note_with_comma_keeps_the_header_width(tmp_path):
-    # the quadrature failure note names u_{4,k}, whose comma is quoted
-    code, text = run_cli(tmp_path, "voronovskaya", "--fns", "exp", "--n", "4", "--tol", "1e-300")
-    assert code == EXIT_VIOLATION
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kfunc", "--fns", "abs52", "--n", "2"],
+        ["norms", "--fns", "exp", "--n", "7"],
+        ["verify", "--fns", "exp", "--n", "4"],
+        ["voronovskaya", "--fns", "exp", "--n", "4"],
+    ],
+    ids=["kfunc", "norms", "verify", "voronovskaya"],
+)
+def test_unreachable_tolerance_inside_a_check_is_usage_error(argv, capsys):
+    # exit 1 is kept for violated checks; a quadrature that cannot reach
+    # --tol is not a verdict on the inequality
+    assert main([*argv, "--tol", "1e-300"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("gsops: ToleranceError:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_csv_note_with_comma_keeps_the_header_width():
+    # the note names u_{4,k}, whose comma is quoted
+    cfg = config_from_args(build_parser().parse_args(["voronovskaya", "--fns", "exp", "--n", "4"]))
+    note = "InvariantViolation: u_{4,k}(exp) disagrees"
+    text = render(cfg, [_fail_row("voronovskaya", "exp", 4, note)], _COLUMNS)
     header, row = csv.reader(text.splitlines()[1:])
     assert len(row) == len(header)
-    note = dict(zip(header, row))["note"]
-    assert note.startswith("ToleranceError: u_{4,k}(exp) did not reach tol=1e-300")
+    assert dict(zip(header, row))["note"] == note
 
 
 def test_eval_non_finite_coefficient_is_usage_error(tmp_path, capsys):
@@ -308,6 +379,41 @@ def test_table_rates_byte_identical_to_reference(tmp_path, argv):
     out = tmp_path / "out.csv"
     assert main([*argv, "--seed", "1", "--out", str(out)]) == EXIT_OK
     assert out.read_bytes() == (REFERENCE / f"{argv[0]}.csv").read_bytes()
+
+
+def test_norms_matches_reference(tmp_path):
+    # the lebesgue_bound rows with their argmax notes, the guarded bernstein
+    # rows and the two expected-red b_n_bound rows (n = 64, 128)
+    out = tmp_path / "out.csv"
+    assert main(["norms", "--n", "16:2:4", "--seed", "1", "--out", str(out)]) == EXIT_VIOLATION
+    got = out.read_text(encoding="utf-8").splitlines()
+    want = (REFERENCE / "norms.csv").read_text(encoding="utf-8").splitlines()
+    assert len(got) == len(want)
+    for got_line, want_line in zip(got, want):
+        if not want_line.startswith("c_n_bound,-,128,"):
+            assert got_line == want_line
+            continue
+        # the vectorized T_{n,k} moved this row's lhs by 5.7e-14 (1.9e-16 relative)
+        for g, w in zip(got_line.split(","), want_line.split(","), strict=True):
+            try:
+                assert float(g) == pytest.approx(float(w), rel=1e-12, abs=0.0)
+            except ValueError:
+                assert g == w
+
+
+def test_traced_benchmark_pass_runs(tmp_path):
+    # perfbench's tracer hooks public names and reads the Beta matrix's
+    # lru_cache; a refactor that drops either fails here
+    spans = tmp_path / "spans.json"
+    argv = ["kfunc", "--fns", "t2", "--n", "2,4", "--seed", "1"]
+    proc = subprocess.run(
+        [sys.executable, "perfbench/child.py", "trace", str(spans), "kfunc", "--", *argv],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "Traceback" not in proc.stderr
+    counters = json.loads(spans.read_text(encoding="utf-8"))["counters"]
+    assert counters["operators.u_coefficient_matrix.misses"] > 0
 
 
 # -- fuzz: every command over bounded inputs ----------------------------------------------

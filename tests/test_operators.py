@@ -1,6 +1,7 @@
 """Tests for the floating-point operator pipeline."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -270,6 +271,35 @@ def test_u_coefficient_matrix_rows():
     assert A[3] == pytest.approx([0, 0, 0, 0, 0, 1], abs=0.0)
     # interior row sums to 1: u_{n,k}(1) = 1
     assert float(np.sum(A[1])) == pytest.approx(1.0, abs=1e-15)
+
+
+def u_coefficient_matrix_fraction(n: int, N: int) -> np.ndarray:
+    """Oracle: each Beta-product entry as one exact Fraction, rounded to float."""
+    A = np.zeros((n + 1, N + 1))
+    A[0, 0] = 1.0
+    A[n, N] = 1.0
+    for k in range(1, n):
+        for j in range(N + 1):
+            val = Fraction(
+                (n - 1) * math.comb(n - 2, k - 1) * math.comb(N, j),
+                math.comb(n - 2 + N, k - 1 + j) * (n - 1 + N),
+            )
+            A[k, j] = float(val)
+    return A
+
+
+@pytest.mark.parametrize(
+    "n, N",
+    [(1, 0), (1, 4), (2, 0), (2, 2), (2, 9), (3, 40), (40, 3), (16, 16), (64, 64), (128, 128)],
+)
+def test_u_coefficient_matrix_matches_fraction_oracle(n, N):
+    A = u_coefficient_matrix(n, N)
+    assert np.array_equal(A, u_coefficient_matrix_fraction(n, N))
+    assert not A.flags.writeable
+    # still one lru_cache: a repeated call is a hit and returns the same array
+    hits = u_coefficient_matrix.cache_info().hits
+    assert u_coefficient_matrix(n, N) is A
+    assert u_coefficient_matrix.cache_info().hits == hits + 1
 
 
 # -- symbolic Dtilde powers ----------------------------------------------------------
