@@ -31,10 +31,10 @@ from .operators import (
     BernsteinForm,
     apply_U,
     apply_Utilde,
+    apply_Utilde_to_form,
     dtilde_coefficient_map,
     dtilde_form,
     dtilde_of_function,
-    iterate_Utilde,
     u_coefficient_matrix,
 )
 
@@ -84,6 +84,9 @@ PASS_ATOL = 1e-12
 
 DEFAULT_GRID = 2001
 GOLDEN_ITERATIONS = 50
+#: Golden-section iterations whose possible probe points (2^k - 1 of them)
+#: are evaluated in one call.
+LOOKAHEAD_DEPTH = 4
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Bytes of grid bases B(n, grid) kept between sup norms.  20 MiB holds every
@@ -219,11 +222,15 @@ class Residual:
         return out
 
 
-def _abs_values(fn, xs: np.ndarray) -> np.ndarray:
+_NON_FINITE = "non-finite value while estimating a sup norm"
+
+
+def _abs_values(fn, xs: np.ndarray, finite: bool = True) -> np.ndarray:
+    """|fn| at xs; raises on a non-finite value unless ``finite`` is False."""
     target = fn.eval if isinstance(fn, BernsteinForm) else fn
     vals = np.abs(np.asarray(target(xs), dtype=float))
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite value while estimating a sup norm")
+    if finite and not np.all(np.isfinite(vals)):
+        raise ValueError(_NON_FINITE)
     return vals
 
 
@@ -274,6 +281,31 @@ def _screened_grid_max(fn: BernsteinForm | Residual, xs: np.ndarray, grid_size: 
     return best_i, best_v
 
 
+def _probe_points(a: float, b: float, c: float, d: float, left: bool, depth: int) -> list[float]:
+    """Every point the next ``depth`` golden-section iterations can probe.
+
+    The first iteration keeps the left part (fc > fd) if ``left``; the later
+    branches are unknown, so both are followed: 2^depth - 1 points, each
+    computed with the walk's own expression.
+    """
+    if depth == 0:
+        return []
+    if left:
+        b, d = d, c
+        x = c = b - _INVPHI * (b - a)
+    else:
+        a, c = c, d
+        x = d = a + _INVPHI * (b - a)
+    return [x, *_probe_points(a, b, c, d, True, depth - 1), *_probe_points(a, b, c, d, False, depth - 1)]
+
+
+def _probed(values: dict[float, float], x: float) -> float:
+    v = values[x]
+    if not math.isfinite(v):
+        raise ValueError(_NON_FINITE)
+    return v
+
+
 def sup_norm(fn: BernsteinForm | Residual | Callable, grid_size: int = DEFAULT_GRID) -> SupNormEstimate:
     """Estimate ||fn||_inf on [0,1] from below.
 
@@ -285,6 +317,11 @@ def sup_norm(fn: BernsteinForm | Residual | Callable, grid_size: int = DEFAULT_G
     screening with a cached basis and confirming by de Casteljau, which gives
     the same point and value, bit for bit, as a de Casteljau pass over the
     whole grid.
+
+    The iterations run in blocks of LOOKAHEAD_DEPTH: every point a block can
+    probe is evaluated in one call, and the sequential walk then reads its
+    values.  Evaluation is pointwise, so the result is bit for bit that of
+    one-point probes; a non-finite value raises only if the walk reads it.
     """
     if grid_size < 64:
         raise ValueError("grid_size must be >= 64")
@@ -301,17 +338,20 @@ def sup_norm(fn: BernsteinForm | Residual | Callable, grid_size: int = DEFAULT_G
     b = float(xs[min(i + 1, xs.size - 1)])
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc = float(_abs_values(fn, np.array([c]))[0])
-    fd = float(_abs_values(fn, np.array([d]))[0])
-    for _ in range(GOLDEN_ITERATIONS):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = float(_abs_values(fn, np.array([c]))[0])
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = float(_abs_values(fn, np.array([d]))[0])
+    fc, fd = _abs_values(fn, np.array([c, d])).tolist()
+    for start in range(0, GOLDEN_ITERATIONS, LOOKAHEAD_DEPTH):
+        depth = min(LOOKAHEAD_DEPTH, GOLDEN_ITERATIONS - start)
+        points = _probe_points(a, b, c, d, fc > fd, depth)
+        values = dict(zip(points, _abs_values(fn, np.array(points), finite=False).tolist()))
+        for _ in range(depth):
+            if fc > fd:
+                b, d, fd = d, c, fc
+                c = b - _INVPHI * (b - a)
+                fc = _probed(values, c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + _INVPHI * (b - a)
+                fd = _probed(values, d)
     for x, v in ((c, fc), (d, fd)):
         if v > best_v:
             best_x, best_v = x, v
@@ -518,10 +558,54 @@ def check_bn_decomposition(n: int, grid_size: int = DEFAULT_GRID) -> list[Inequa
     ]
 
 
+def _candidate_norms(f: FunctionSpec, g: BernsteinForm, grid_size: int) -> tuple[float, float]:
+    """(||g - f||, ||Dtilde^2 g||) for a K-functional candidate g."""
+    return distance(g, f, grid_size), sup_norm(dtilde_form(dtilde_form(g)), grid_size).value
+
+
 def _candidate_cost(f: FunctionSpec, g: BernsteinForm, t: float, grid_size: int) -> float:
-    dist = distance(g, f, grid_size)
-    d2 = sup_norm(dtilde_form(dtilde_form(g)), grid_size).value
+    """The sandwich's cost ||g - f|| + t ||Dtilde^2 g|| of a candidate g."""
+    dist, d2 = _candidate_norms(f, g, grid_size)
     return dist + t * d2
+
+
+# Memo of one sweep.  Sweeps pass one plain dict per function to the sandwich
+# checks, so that each operator output and its norms are computed once per
+# sweep; the keys carry every argument the value depends on.
+
+
+def _memoized(memo: dict, key: tuple, compute: Callable):
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _utilde(f: FunctionSpec, m: int, tol: float, memo: dict) -> BernsteinForm:
+    return _memoized(memo, ("Utilde", f.name, m, tol), lambda: apply_Utilde(f, m, tol))
+
+
+def _utilde3(f: FunctionSpec, m: int, tol: float, memo: dict) -> BernsteinForm:
+    """Utilde_m^3 f from the memoized Utilde_m f, in iterate_Utilde's steps."""
+
+    def build() -> BernsteinForm:
+        p = _utilde(f, m, tol, memo)
+        for _ in range(2):
+            p = apply_Utilde_to_form(p, m)
+        return p
+
+    return _memoized(memo, ("Utilde3", f.name, m, tol), build)
+
+
+def _utilde_error(f: FunctionSpec, m: int, grid_size: int, tol: float, memo: dict) -> float:
+    """||Utilde_m f - f||."""
+    key = ("error", f.name, m, grid_size, tol)
+    return _memoized(memo, key, lambda: distance(_utilde(f, m, tol, memo), f, grid_size))
+
+
+def _iterate_norms(f: FunctionSpec, m: int, grid_size: int, tol: float, memo: dict) -> tuple[float, float]:
+    """_candidate_norms of the candidate Utilde_m^3 f."""
+    key = ("iterate_norms", f.name, m, grid_size, tol)
+    return _memoized(memo, key, lambda: _candidate_norms(f, _utilde3(f, m, tol, memo), grid_size))
 
 
 def kfunctional_sandwich(
@@ -530,6 +614,7 @@ def kfunctional_sandwich(
     candidate_ms: Sequence[int] | None = None,
     grid_size: int = DEFAULT_GRID,
     tol: float = DEFAULT_TOL,
+    memo: dict | None = None,
 ) -> KfSandwich:
     """Certified two-sided estimate of K(f, 1/n^2).
 
@@ -539,6 +624,10 @@ def kfunctional_sandwich(
     candidates always come from the exact coefficient map, never from
     numerical differentiation.  The operator error ||Utilde_n f - f|| is kept
     as ``err``; divided by 1 + sqrt(3) it is the lower bound.
+
+    ``memo``, a dict kept by the caller for one function f, holds the
+    operator outputs and norms for later calls at other n; without it they
+    are shared within this call only.
 
     Candidates whose costs tie in exact arithmetic (at t2, n = 2 the
     candidates m = 2, m = 4 and f itself all cost 1/4) are ranked by the last
@@ -551,20 +640,22 @@ def kfunctional_sandwich(
     if not ms:
         raise ValueError("candidate list must not be empty")
     t = 1.0 / n**2
+    memo = {} if memo is None else memo
 
     best_cost = math.inf
     best_id = ""
     for m in ms:
-        g = iterate_Utilde(f, m, 3, tol)
-        cost = _candidate_cost(f, g, t, grid_size)
+        dist, d2 = _iterate_norms(f, m, grid_size, tol, memo)
+        cost = dist + t * d2
         if cost < best_cost:
             best_cost, best_id = cost, f"utilde3_m{m}"
     if f.smoothness.w20 and f.smoothness.dtilde_w2:
-        cost = t * dtilde_sup_norm(f, 2, grid_size)
+        d2f = _memoized(memo, ("dtilde2_norm", f.name, grid_size), lambda: dtilde_sup_norm(f, 2, grid_size))
+        cost = t * d2f
         if cost < best_cost:
             best_cost, best_id = cost, "f_itself"
 
-    err_n = distance(apply_Utilde(f, n, tol), f, grid_size)
+    err_n = _utilde_error(f, n, grid_size, tol, memo)
     return KfSandwich(t=t, err=err_n, upper=best_cost, candidate_id=best_id)
 
 
@@ -574,14 +665,16 @@ def check_direct(
     candidate_ms: Sequence[int] | None = None,
     grid_size: int = DEFAULT_GRID,
     tol: float = DEFAULT_TOL,
+    memo: dict | None = None,
 ) -> list[InequalityReport]:
     """The sandwich and the direct theorem, both from one sandwich.
 
     Reports kf_sandwich (lower <= upper) and direct,
     ||Utilde_n f - f|| <= (1 + sqrt 3) K(f, 1/n^2).  Uses the sandwich upper
     bound in place of K, which only strengthens the inequality being verified.
+    ``memo`` is kfunctional_sandwich's.
     """
-    sw = kfunctional_sandwich(f, n, candidate_ms, grid_size, tol)
+    sw = kfunctional_sandwich(f, n, candidate_ms, grid_size, tol, memo)
     return [
         InequalityReport("kf_sandwich", f.name, n, sw.lower, sw.upper, note=sw.candidate_id),
         InequalityReport("direct", f.name, n, sw.err, (1.0 + SQRT3) * sw.upper, note=sw.candidate_id),
@@ -595,6 +688,7 @@ def check_converse(
     candidate_ms: Sequence[int] | None = None,
     grid_size: int = DEFAULT_GRID,
     tol: float = DEFAULT_TOL,
+    memo: dict | None = None,
 ) -> list[InequalityReport]:
     """Strong converse bound at two operator scales, plus its iterate step.
 
@@ -602,7 +696,9 @@ def check_converse(
     with C = 4 + sqrt(3) + (6.5 + sqrt 6)^2, for ell >= ceil(L n),
     L = 16(6.5 + sqrt 6)/9, with the sandwich upper bound standing in for K.
     Also verifies the triple-iterate contraction
-    ||f - Utilde_n^3 f|| <= (4 + sqrt 3) ||f - Utilde_n f||.
+    ||f - Utilde_n^3 f|| <= (4 + sqrt 3) ||f - Utilde_n f||, whose left side
+    is the sandwich's m = n candidate distance.  ``memo`` is
+    kfunctional_sandwich's.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -612,12 +708,13 @@ def check_converse(
             f"ell={ell} below threshold: need ell >= ceil(L*n) = {required} "
             f"(L = {CONVERSE_SCALE_FACTOR:.6f})"
         )
-    sw = kfunctional_sandwich(f, n, candidate_ms, grid_size, tol)
-    err_ell = distance(apply_Utilde(f, ell, tol), f, grid_size)
+    memo = {} if memo is None else memo
+    sw = kfunctional_sandwich(f, n, candidate_ms, grid_size, tol, memo)
+    err_ell = _utilde_error(f, ell, grid_size, tol, memo)
     rhs = CONVERSE_CONSTANT * (ell / n) ** 2 * (sw.err + err_ell)
     main = InequalityReport("converse", f.name, n, sw.upper, rhs, ell=ell, note=sw.candidate_id)
 
-    lhs3 = distance(iterate_Utilde(f, n, 3, tol), f, grid_size)
+    lhs3, _ = _iterate_norms(f, n, grid_size, tol, memo)
     iterate_report = InequalityReport(
         "iterate_contraction", f.name, n, lhs3, (4.0 + SQRT3) * sw.err
     )

@@ -350,27 +350,38 @@ def cmd_norms(cfg: RunConfig) -> list[dict]:
 
 
 def _sweep(cfg: RunConfig, name: str, check, ell_mult=None) -> list[dict]:
-    """Guarded rows of ``check(f, n, ell)``, f outer and n inner; ell = ell_mult * n, or None."""
+    """Guarded rows of ``check(f, n, ell, memo)``, f outer and n inner.
+
+    ell = ell_mult * n, or None.  ``memo`` is one dict per function, shared
+    by its ns, so that the sandwich checks compute each operator output and
+    its norms once per sweep.
+    """
     rows: list[dict] = []
     for fname in cfg.fns:
         f = get_function(fname)
+        memo: dict = {}
         for n in cfg.n_list:
             ell = None if ell_mult is None else ell_mult * n
-            _guarded(rows, name, fname, n, lambda: check(f, n, ell), ell=ell)
+            _guarded(rows, name, fname, n, lambda: check(f, n, ell, memo), ell=ell)
     return rows
 
 
 def cmd_kfunc(cfg: RunConfig) -> list[dict]:
-    return _sweep(cfg, "kf_sandwich", lambda f, n, _: check_direct(f, n, None, cfg.grid_size, cfg.tol))
+    return _sweep(
+        cfg, "kf_sandwich", lambda f, n, _, memo: check_direct(f, n, None, cfg.grid_size, cfg.tol, memo)
+    )
 
 
 def cmd_voronovskaya(cfg: RunConfig) -> list[dict]:
-    return _sweep(cfg, "voronovskaya", lambda f, n, _: check_voronovskaya(f, n, cfg.grid_size, cfg.tol))
+    return _sweep(cfg, "voronovskaya", lambda f, n, _, __: check_voronovskaya(f, n, cfg.grid_size, cfg.tol))
 
 
 def cmd_converse(cfg: RunConfig) -> list[dict]:
     return _sweep(
-        cfg, "converse", lambda f, n, ell: check_converse(f, n, ell, None, cfg.grid_size, cfg.tol), cfg.ell_mult
+        cfg,
+        "converse",
+        lambda f, n, ell, memo: check_converse(f, n, ell, None, cfg.grid_size, cfg.tol, memo),
+        cfg.ell_mult,
     )
 
 

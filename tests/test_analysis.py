@@ -311,6 +311,22 @@ def test_sandwich_t2_n2_exact_tie_at_one_quarter():
     assert sw.upper == min(costs.values()) and costs[sw.candidate_id] == sw.upper
 
 
+@pytest.mark.parametrize("name", ["t2", "exp", "abs52"])
+def test_sandwich_memo_shared_across_n_changes_nothing(name):
+    # a sweep hands one dict to every n of a function; each call must report
+    # what a call with a fresh memo reports, bit for bit
+    from gsops.analysis import _utilde3
+    from gsops.operators import DEFAULT_TOL, iterate_Utilde
+
+    f = get_function(name)
+    memo: dict = {}
+    for n in (2, 4):
+        assert check_converse(f, n, 32 * n, memo=memo) == check_converse(f, n, 32 * n)
+        assert check_direct(f, n, memo=memo) == check_direct(f, n)
+    for m in (2, 4, 8):
+        assert np.array_equal(_utilde3(f, m, DEFAULT_TOL, memo).coeffs, iterate_Utilde(f, m, 3).coeffs)
+
+
 def test_sandwich_t2_n4_lower_value():
     sw = kfunctional_sandwich(get_function("t2"), 4)
     assert sw.lower == pytest.approx((1.0 / 40.0) / (1.0 + SQRT3), abs=1e-12)

@@ -372,8 +372,10 @@ def test_eval_non_finite_coefficient_is_usage_error(tmp_path, capsys):
         # the kf_sandwich and direct rows built from one sandwich, whose error
         # is the direct row's lhs; the t2, n = 2 notes rest on a last-bit tie
         ["kfunc", "--fns", "t2,exp,abs52", "--n", "2:2:5", "--ell-mult", "16"],
+        # err_ell and iterate_contraction read from the sweep's memo
+        ["converse", "--fns", "t2,exp,abs52", "--n", "2:2:5", "--ell-mult", "16"],
     ],
-    ids=["table", "kfunc"],
+    ids=["table", "kfunc", "converse"],
 )
 def test_table_rates_byte_identical_to_reference(tmp_path, argv):
     out = tmp_path / "out.csv"
@@ -414,6 +416,31 @@ def test_traced_benchmark_pass_runs(tmp_path):
     assert "Traceback" not in proc.stderr
     counters = json.loads(spans.read_text(encoding="utf-8"))["counters"]
     assert counters["operators.u_coefficient_matrix.misses"] > 0
+    # golden-section probes go in batches (954 one-point evals with one-point
+    # probes), and the sweep applies each operator once
+    assert counters["operators.eval.point_calls"] < 100
+    assert counters.get("operators.apply.repeats", 0) == 0
+
+
+@pytest.mark.parametrize(("command", "most"), [("kfunc", 72), ("converse", 87)], ids=["kfunc", "converse"])
+def test_sandwich_sweep_takes_each_norm_once(tmp_path, monkeypatch, command, most):
+    # half of the 145 (kfunc) and 175 (converse) sup norms of a sweep that
+    # recomputes the candidates of every n and Utilde_n^3 f for converse
+    import gsops.analysis
+    import gsops.cli
+
+    calls = []
+    plain = gsops.analysis.sup_norm
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(gsops.analysis, "sup_norm", counting)
+    monkeypatch.setattr(gsops.cli, "sup_norm", counting, raising=False)
+    argv = [command, "--fns", "t2,exp,abs52", "--n", "2:2:5", "--ell-mult", "16", "--seed", "1"]
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == EXIT_OK
+    assert 0 < len(calls) <= most
 
 
 # -- fuzz: every command over bounded inputs ----------------------------------------------

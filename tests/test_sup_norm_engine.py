@@ -1,9 +1,10 @@
-"""The sup-norm grid engine: in-place basis, cached grid bases, exact confirmation.
+"""The sup-norm grid engine: in-place basis, cached grid bases, exact confirmation,
+golden-section probes in lookahead batches.
 
 The oracles are the straightforward forms the engine replaces: the
 level-by-level basis recurrence, and a sup norm that evaluates its argument
-by de Casteljau on the whole grid.  Both are copied here, so the comparisons
-are bit for bit.
+by de Casteljau on the whole grid and refines it by one-point probes.  Both
+are copied here, so the comparisons are bit for bit.
 """
 
 import math
@@ -17,14 +18,17 @@ from gsops.analysis import (
     DEFAULT_GRID,
     GOLDEN_ITERATIONS,
     GRID_BASIS_BUDGET,
+    LOOKAHEAD_DEPTH,
     Residual,
     _chebyshev_grid,
     _GRID_BASES,
     _GridBasisCache,
+    _ptilde_abs_sums,
+    lebesgue_bound,
     sup_norm,
 )
 from gsops.basis import bernstein_matrix, tail_sums
-from gsops.catalog import get_function
+from gsops.catalog import catalog_names, get_function
 from gsops.operators import BernsteinForm, apply_U, apply_Utilde, dtilde_form, dtilde_of_function
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -45,12 +49,18 @@ def level_by_level_basis(n, xs):
     return b
 
 
-def full_grid_sup_norm(fn, grid_size=DEFAULT_GRID):
-    """(value, argmax) from |fn| on the whole grid, then golden-section refinement."""
+def full_grid_sup_norm(fn, grid_size=DEFAULT_GRID, probes=None):
+    """(value, argmax) from |fn| on the whole grid, then golden-section refinement.
+
+    Each refinement point is evaluated alone, in the order of the walk, and
+    appended to ``probes`` if a list is given.
+    """
 
     def abs_values(pts):
         vals = np.abs(np.asarray(fn(pts), dtype=float))
         assert np.all(np.isfinite(vals))
+        if probes is not None and pts.size == 1:
+            probes.append(float(pts[0]))
         return vals
 
     xs = _chebyshev_grid(grid_size)
@@ -165,6 +175,106 @@ def test_sup_norm_non_finite_form_still_rejected():
         sup_norm(BernsteinForm(3, [0.0, np.nan, 1.0, 0.0]))
     with pytest.raises(ValueError, match="non-finite"):
         sup_norm(Residual(BernsteinForm(2, [0.0, np.inf, 0.0]), get_function("t2").eval))
+
+
+# -- golden-section refinement in lookahead batches ------------------------------------
+
+_GRIDS = [64, 65, 2001]
+
+
+def _lebesgue_function(n):
+    return lambda xs: _ptilde_abs_sums(n, np.atleast_1d(np.asarray(xs, float)))
+
+
+@pytest.mark.parametrize("grid_size", _GRIDS)
+@pytest.mark.parametrize("n", [2, 37, 128])
+def test_lookahead_lebesgue_bound_matches_sequential_walk(n, grid_size):
+    est = lebesgue_bound(n, grid_size)
+    assert (est.value, est.argmax) == full_grid_sup_norm(_lebesgue_function(n), grid_size)
+
+
+@pytest.mark.parametrize("grid_size", _GRIDS)
+def test_lookahead_generic_callables_match_sequential_walk(grid_size):
+    callables = [get_function(name).eval for name in catalog_names()]
+    callables.append(dtilde_of_function(get_function("exp"), 3))
+    for fn in callables:
+        assert_same_as_full_pass(fn, fn, grid_size)
+
+
+@pytest.mark.parametrize("grid_size", [64, 65])
+@pytest.mark.parametrize("name", ["t2", "exp", "sinpi"])
+@pytest.mark.parametrize("n", [4, 64, 256])
+def test_lookahead_voronovskaya_residual_matches_sequential_walk(name, n, grid_size):
+    # grid 2001 is test_sup_norm_voronovskaya_residual_matches_full_pass
+    f = get_function(name)
+    lam = tail_sums(n).lam
+    p = apply_Utilde(f, n)
+    d2f = dtilde_of_function(f, 2)
+    assert_same_as_full_pass(
+        Residual(p, f.eval, d2f, lam), lambda xs: p.eval(xs) - f.eval(xs) + lam * d2f(xs), grid_size
+    )
+
+
+def test_lookahead_refinement_of_a_form_is_batched(monkeypatch):
+    form = BernsteinForm(40, np.random.default_rng(7).normal(size=41))
+    grid = set(_chebyshev_grid(DEFAULT_GRID).tolist())
+    sizes = []
+    plain_eval = BernsteinForm.eval
+
+    def recording_eval(self, x):
+        pts = np.atleast_1d(np.asarray(x, dtype=float))
+        if not grid.intersection(pts.tolist()):  # a refinement probe, not the grid or its confirmation
+            sizes.append(pts.size)
+        return plain_eval(self, x)
+
+    monkeypatch.setattr(BernsteinForm, "eval", recording_eval)
+    est = sup_norm(form)
+    monkeypatch.undo()
+    assert (est.value, est.argmax) == full_grid_sup_norm(form.eval)
+    assert 1 not in sizes
+    assert len(sizes) <= math.ceil(GOLDEN_ITERATIONS / LOOKAHEAD_DEPTH) + 1
+    assert sizes[0] == 2 and max(sizes) == 2**LOOKAHEAD_DEPTH - 1
+
+
+def _nan_at(fn, x_bad):
+    def poisoned(xs):
+        xs = np.asarray(xs, dtype=float)
+        return np.where(xs == x_bad, np.nan, fn(xs))
+
+    return poisoned
+
+
+def _refinement_points(fn):
+    """Points sup_norm evaluates off the grid, and those the sequential walk reads."""
+    grid = set(_chebyshev_grid(DEFAULT_GRID).tolist())
+    evaluated = []
+
+    def recording(xs):
+        evaluated.extend(x for x in np.atleast_1d(xs).tolist() if x not in grid)
+        return fn(xs)
+
+    sup_norm(recording)
+    read = []
+    full_grid_sup_norm(fn, probes=read)
+    return evaluated, read
+
+
+def test_lookahead_nan_at_an_unread_point_is_ignored():
+    fn = get_function("sinpi").eval
+    evaluated, read = _refinement_points(fn)
+    unread = [x for x in evaluated if x not in set(read)]
+    assert len(unread) > 0
+    assert set(read) <= set(evaluated)
+    est = sup_norm(_nan_at(fn, unread[-1]))
+    assert (est.value, est.argmax) == full_grid_sup_norm(fn)
+
+
+def test_lookahead_nan_at_a_read_point_still_raises():
+    fn = get_function("sinpi").eval
+    _, read = _refinement_points(fn)
+    for x_bad in (read[0], read[len(read) // 2], read[-1]):
+        with pytest.raises(ValueError, match="^non-finite value while estimating a sup norm$"):
+            sup_norm(_nan_at(fn, x_bad))
 
 
 # -- the grid-basis cache ------------------------------------------------------------
