@@ -55,6 +55,5 @@ from .analysis import (
     check_voronovskaya,
     kfunctional_sandwich,
     lebesgue_bound,
-    rate_fit,
     sup_norm,
 )

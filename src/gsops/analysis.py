@@ -6,7 +6,7 @@ operator's norm, the Jackson / Voronovskaya / Bernstein-type inequality
 checks, the decomposition checks behind the Bernstein-type constant, the
 K-functional sandwich (constructive upper candidate plus the direct-theorem
 lower bound), the strong-converse check at two operator scales, and the
-convergence-rate fit.
+log-log slope of convergence rates.
 
 Sweeps over (function, n) pairs are independent pure computations; reports
 can be produced concurrently and merged by key without affecting values.
@@ -55,7 +55,6 @@ __all__ = [
     "dtilde_sup_norm",
     "lebesgue_bound",
     "check_contraction_U",
-    "check_contraction_Utilde",
     "check_jackson",
     "check_voronovskaya",
     "check_bernstein_inequality",
@@ -65,7 +64,6 @@ __all__ = [
     "check_direct",
     "check_converse",
     "loglog_slope",
-    "rate_fit",
 ]
 
 SQRT3 = math.sqrt(3.0)
@@ -195,28 +193,25 @@ class _GridBasisCache:
 _GRID_BASES = _GridBasisCache(GRID_BASIS_BUDGET)
 
 
-def _grid_basis(n: int, grid_size: int) -> np.ndarray:
-    """B(n, _chebyshev_grid(grid_size)); rows [1:-1] are the interior points."""
-    return _GRID_BASES.get(n, grid_size)
-
-
 @dataclass(frozen=True, eq=False)
 class Residual:
     """The function x -> p(x) - f(x) + scale * g(x) for a Bernstein form p.
 
-    ``f`` and ``g`` are vectorized callables; ``g`` is optional.  Calling it
-    evaluates p by de Casteljau, in this operation order, so its values are
-    those of the equivalent lambda.  sup_norm recognises the type and screens
-    the grid with the cached basis first.
+    ``f`` and ``g`` are optional vectorized callables; ``Residual(p)`` is p
+    itself.  Calling it evaluates p by de Casteljau, in this operation order,
+    so its values are those of the equivalent lambda.  sup_norm screens the
+    grid of a Residual with the cached basis first.
     """
 
     p: BernsteinForm
-    f: Callable
+    f: Callable | None = None
     g: Callable | None = None
     scale: float = 0.0
 
     def __call__(self, xs):
-        out = self.p.eval(xs) - self.f(xs)
+        out = self.p.eval(xs)
+        if self.f is not None:
+            out = out - self.f(xs)
         if self.g is not None:
             out = out + self.scale * self.g(xs)
         return out
@@ -227,37 +222,34 @@ _NON_FINITE = "non-finite value while estimating a sup norm"
 
 def _abs_values(fn, xs: np.ndarray, finite: bool = True) -> np.ndarray:
     """|fn| at xs; raises on a non-finite value unless ``finite`` is False."""
-    target = fn.eval if isinstance(fn, BernsteinForm) else fn
-    vals = np.abs(np.asarray(target(xs), dtype=float))
+    vals = np.abs(np.asarray(fn(xs), dtype=float))
     if finite and not np.all(np.isfinite(vals)):
         raise ValueError(_NON_FINITE)
     return vals
 
 
-def _screened_grid_max(fn: BernsteinForm | Residual, xs: np.ndarray, grid_size: int) -> tuple[int, float]:
+def _screened_grid_max(fn: Residual, xs: np.ndarray, grid_size: int) -> tuple[int, float]:
     """Index and value of max |fn| on the grid, as a full de Casteljau pass gives them.
 
     The polynomial part is first screened as a matvec with the cached basis.
     That and de Casteljau each err by at most about 2n u sum|c_k| P_{n,k}, so
-    delta = 8(n+1) eps max|c_k|, plus the rounding of the subtractions, bounds
-    their gap; every point whose screened value is within 2 delta of the
-    screened max is re-evaluated exactly, which includes every point where the
-    exact values attain their max.  Non-finite screened values fall back to
-    the full pass, which raises as before.
+    delta = 8(n+1) eps max|c_k|, plus the rounding of the additions of -f and
+    scale * g, bounds their gap; every point whose screened value is within
+    2 delta of the screened max is re-evaluated by calling fn, which includes
+    every point where the exact values attain their max.  f and g are
+    pointwise, so that call gives the values of a full pass.  Non-finite
+    screened values fall back to the full pass, which raises as before.
     """
-    p = fn if isinstance(fn, BernsteinForm) else fn.p
-    if isinstance(fn, Residual):
-        f_vals = fn.f(xs)
-        g_vals = fn.scale * fn.g(xs) if fn.g is not None else None
+    p = fn.p
+    terms = [] if fn.f is None else [-fn.f(xs)]
+    if fn.g is not None:
+        terms.append(fn.scale * fn.g(xs))
     with np.errstate(all="ignore"):
-        screened = _grid_basis(p.n, grid_size) @ p.coeffs
+        screened = _GRID_BASES.get(p.n, grid_size) @ p.coeffs
         delta = 8.0 * (p.n + 1) * _EPS * float(np.max(np.abs(p.coeffs)))
-        if isinstance(fn, Residual):
-            delta += 4.0 * _EPS * (float(np.max(np.abs(screened))) + float(np.max(np.abs(f_vals))))
-            screened = screened - f_vals
-            if g_vals is not None:
-                delta += 4.0 * _EPS * (float(np.max(np.abs(screened))) + float(np.max(np.abs(g_vals))))
-                screened = screened + g_vals
+        for term in terms:
+            delta += 4.0 * _EPS * (float(np.max(np.abs(screened))) + float(np.max(np.abs(term))))
+            screened = screened + term
         screened = np.abs(screened)
     if not (np.all(np.isfinite(screened)) and math.isfinite(delta)):
         vals = _abs_values(fn, xs)
@@ -268,13 +260,7 @@ def _screened_grid_max(fn: BernsteinForm | Residual, xs: np.ndarray, grid_size: 
     best_i, best_v = -1, -math.inf
     for start in range(0, candidates.size, _CONFIRM_CHUNK):
         idx = candidates[start : start + _CONFIRM_CHUNK]
-        if isinstance(fn, BernsteinForm):
-            exact = fn
-        elif g_vals is None:
-            exact = lambda pts, idx=idx: p.eval(pts) - f_vals[idx]
-        else:
-            exact = lambda pts, idx=idx: p.eval(pts) - f_vals[idx] + g_vals[idx]
-        vals = _abs_values(exact, xs[idx])
+        vals = _abs_values(fn, xs[idx])
         j = int(np.argmax(vals))
         if vals[j] > best_v:
             best_i, best_v = int(idx[j]), float(vals[j])
@@ -313,10 +299,10 @@ def sup_norm(fn: BernsteinForm | Residual | Callable, grid_size: int = DEFAULT_G
     endpoints, where the weight degenerates) plus both endpoints, then runs a
     fixed number of golden-section iterations around the best point.
     Deterministic for a fixed grid size; refinement can only increase the
-    value.  For a BernsteinForm or a Residual the grid max is found by
-    screening with a cached basis and confirming by de Casteljau, which gives
-    the same point and value, bit for bit, as a de Casteljau pass over the
-    whole grid.
+    value.  A BernsteinForm p is taken as Residual(p).  For a Residual the
+    grid max is found by screening with a cached basis and confirming by de
+    Casteljau, which gives the same point and value, bit for bit, as a de
+    Casteljau pass over the whole grid.
 
     The iterations run in blocks of LOOKAHEAD_DEPTH: every point a block can
     probe is evaluated in one call, and the sequential walk then reads its
@@ -326,7 +312,9 @@ def sup_norm(fn: BernsteinForm | Residual | Callable, grid_size: int = DEFAULT_G
     if grid_size < 64:
         raise ValueError("grid_size must be >= 64")
     xs = _chebyshev_grid(grid_size)
-    if isinstance(fn, (BernsteinForm, Residual)):
+    if isinstance(fn, BernsteinForm):
+        fn = Residual(fn)
+    if isinstance(fn, Residual):
         i, best_v = _screened_grid_max(fn, xs, grid_size)
     else:
         vals = _abs_values(fn, xs)
@@ -408,16 +396,6 @@ def check_contraction_U(
     return InequalityReport("contraction_U", f.name, n, lhs, rhs)
 
 
-def check_contraction_Utilde(
-    f: FunctionSpec, n: int, grid_size: int = DEFAULT_GRID, tol: float = DEFAULT_TOL
-) -> InequalityReport:
-    """||Utilde_n f - f|| <= (2/n) ||Dtilde f||."""
-    _require(f.smoothness.w2, f, "f in W^2(phi)")
-    lhs = distance(apply_Utilde(f, n, tol), f, grid_size)
-    rhs = 2.0 * dtilde_sup_norm(f, 1, grid_size) / n
-    return InequalityReport("contraction_Utilde", f.name, n, lhs, rhs)
-
-
 def check_jackson(
     f: FunctionSpec, n: int, grid_size: int = DEFAULT_GRID, tol: float = DEFAULT_TOL
 ) -> InequalityReport:
@@ -470,15 +448,12 @@ def bernstein_probe_max_ratio(
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    B = _grid_basis(n, grid_size)
+    B = _GRID_BASES.get(n, grid_size)
     A = u_coefficient_matrix(n, n)
 
     C = rng.choice([-1.0, 1.0], size=(trials, n + 1))
     U = C @ A.T
-    UT = np.empty_like(U)
-    for row in range(trials):
-        du = dtilde_coefficient_map(U[row])
-        UT[row] = dtilde_coefficient_map(U[row] - du / n)
+    UT = dtilde_coefficient_map(U - dtilde_coefficient_map(U) / n)
     lhs = np.max(np.abs(UT @ B.T), axis=1)
     norms = np.max(np.abs(C @ B.T), axis=1)
     return float(np.max(lhs / (n * norms)))
@@ -525,8 +500,8 @@ def check_bn_decomposition(n: int, grid_size: int = DEFAULT_GRID) -> list[Inequa
     if n < 2:
         raise ValueError("n must be >= 2")
     xs = _chebyshev_grid(grid_size)[1:-1]
-    B = _grid_basis(n, grid_size)[1:-1]
-    B1 = _grid_basis(n - 1, grid_size)[1:-1]
+    B = _GRID_BASES.get(n, grid_size)[1:-1]
+    B1 = _GRID_BASES.get(n - 1, grid_size)[1:-1]
     a, b, c = (np.empty(xs.size) for _ in range(3))
     for start in range(0, xs.size, _DECOMPOSITION_BLOCK):
         rows = slice(start, start + _DECOMPOSITION_BLOCK)
@@ -561,12 +536,6 @@ def check_bn_decomposition(n: int, grid_size: int = DEFAULT_GRID) -> list[Inequa
 def _candidate_norms(f: FunctionSpec, g: BernsteinForm, grid_size: int) -> tuple[float, float]:
     """(||g - f||, ||Dtilde^2 g||) for a K-functional candidate g."""
     return distance(g, f, grid_size), sup_norm(dtilde_form(dtilde_form(g)), grid_size).value
-
-
-def _candidate_cost(f: FunctionSpec, g: BernsteinForm, t: float, grid_size: int) -> float:
-    """The sandwich's cost ||g - f|| + t ||Dtilde^2 g|| of a candidate g."""
-    dist, d2 = _candidate_norms(f, g, grid_size)
-    return dist + t * d2
 
 
 # Memo of one sweep.  Sweeps pass one plain dict per function to the sandwich
@@ -611,7 +580,6 @@ def _iterate_norms(f: FunctionSpec, m: int, grid_size: int, tol: float, memo: di
 def kfunctional_sandwich(
     f: FunctionSpec,
     n: int,
-    candidate_ms: Sequence[int] | None = None,
     grid_size: int = DEFAULT_GRID,
     tol: float = DEFAULT_TOL,
     memo: dict | None = None,
@@ -619,8 +587,7 @@ def kfunctional_sandwich(
     """Certified two-sided estimate of K(f, 1/n^2).
 
     The upper bound minimizes ||f - g|| + t ||Dtilde^2 g|| over the concrete
-    candidates g = Utilde_m^3 f for m in ``candidate_ms`` (default n, 2n, 4n,
-    8n) plus g = f itself when f is smooth enough; second derivatives of
+    candidates g = Utilde_m^3 f for m = n, 2n, 4n, 8n plus g = f itself when f is smooth enough; second derivatives of
     candidates always come from the exact coefficient map, never from
     numerical differentiation.  The operator error ||Utilde_n f - f|| is kept
     as ``err``; divided by 1 + sqrt(3) it is the lower bound.
@@ -636,15 +603,12 @@ def kfunctional_sandwich(
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    ms = [n, 2 * n, 4 * n, 8 * n] if candidate_ms is None else list(candidate_ms)
-    if not ms:
-        raise ValueError("candidate list must not be empty")
     t = 1.0 / n**2
     memo = {} if memo is None else memo
 
     best_cost = math.inf
     best_id = ""
-    for m in ms:
+    for m in (n, 2 * n, 4 * n, 8 * n):
         dist, d2 = _iterate_norms(f, m, grid_size, tol, memo)
         cost = dist + t * d2
         if cost < best_cost:
@@ -662,7 +626,6 @@ def kfunctional_sandwich(
 def check_direct(
     f: FunctionSpec,
     n: int,
-    candidate_ms: Sequence[int] | None = None,
     grid_size: int = DEFAULT_GRID,
     tol: float = DEFAULT_TOL,
     memo: dict | None = None,
@@ -674,7 +637,7 @@ def check_direct(
     bound in place of K, which only strengthens the inequality being verified.
     ``memo`` is kfunctional_sandwich's.
     """
-    sw = kfunctional_sandwich(f, n, candidate_ms, grid_size, tol, memo)
+    sw = kfunctional_sandwich(f, n, grid_size, tol, memo)
     return [
         InequalityReport("kf_sandwich", f.name, n, sw.lower, sw.upper, note=sw.candidate_id),
         InequalityReport("direct", f.name, n, sw.err, (1.0 + SQRT3) * sw.upper, note=sw.candidate_id),
@@ -685,7 +648,6 @@ def check_converse(
     f: FunctionSpec,
     n: int,
     ell: int,
-    candidate_ms: Sequence[int] | None = None,
     grid_size: int = DEFAULT_GRID,
     tol: float = DEFAULT_TOL,
     memo: dict | None = None,
@@ -709,7 +671,7 @@ def check_converse(
             f"(L = {CONVERSE_SCALE_FACTOR:.6f})"
         )
     memo = {} if memo is None else memo
-    sw = kfunctional_sandwich(f, n, candidate_ms, grid_size, tol, memo)
+    sw = kfunctional_sandwich(f, n, grid_size, tol, memo)
     err_ell = _utilde_error(f, ell, grid_size, tol, memo)
     rhs = CONVERSE_CONSTANT * (ell / n) ** 2 * (sw.err + err_ell)
     main = InequalityReport("converse", f.name, n, sw.upper, rhs, ell=ell, note=sw.candidate_id)
@@ -721,14 +683,6 @@ def check_converse(
     return [main, iterate_report]
 
 
-def _check_geometric(ns: Sequence[int]) -> None:
-    if len(ns) < 4:
-        raise ValueError("need at least 4 values of n")
-    ratio = ns[1] / ns[0]
-    if ratio < 2 or any(abs(ns[i + 1] / ns[i] - ratio) > 1e-12 for i in range(len(ns) - 1)):
-        raise ValueError("ns must be geometric with factor >= 2")
-
-
 def loglog_slope(name: str, rows: Sequence[tuple[int, float]]) -> float:
     """Least-squares slope of log err against log n over (n, err) rows.
 
@@ -737,7 +691,12 @@ def loglog_slope(name: str, rows: Sequence[tuple[int, float]]) -> float:
     fit; if fewer than two points survive the fit is rejected.  ``name``
     labels the rejection message.
     """
-    _check_geometric([n for n, _ in rows])
+    ns = [n for n, _ in rows]
+    if len(ns) < 4:
+        raise ValueError("need at least 4 values of n")
+    ratio = ns[1] / ns[0]
+    if ratio < 2 or any(abs(ns[i + 1] / ns[i] - ratio) > 1e-12 for i in range(len(ns) - 1)):
+        raise ValueError("ns must be geometric with factor >= 2")
     kept = [(n, e) for n, e in rows if e >= 1e-13]
     if len(kept) < 2:
         raise ValueError(f"rate fit rejected for {name}: all errors on the rounding floor")
@@ -745,23 +704,3 @@ def loglog_slope(name: str, rows: Sequence[tuple[int, float]]) -> float:
     loge = np.log([e for _, e in kept])
     return float(np.polyfit(logn, loge, 1)[0])
 
-
-def rate_fit(
-    f: FunctionSpec,
-    ns: Sequence[int],
-    operator: str = "Utilde",
-    grid_size: int = DEFAULT_GRID,
-    tol: float = DEFAULT_TOL,
-) -> tuple[float, list[tuple[int, float]]]:
-    """Slope of log ||Op_n f - f|| against log n, and the (n, error) rows.
-
-    The fit and its conditions are those of loglog_slope.
-    """
-    ns = [int(n) for n in ns]
-    _check_geometric(ns)
-    if operator not in ("U", "Utilde"):
-        raise ValueError("operator must be 'U' or 'Utilde'")
-    op = apply_U if operator == "U" else apply_Utilde
-
-    rows = [(n, distance(op(f, n, tol), f, grid_size)) for n in ns]
-    return loglog_slope(f.name, rows), rows

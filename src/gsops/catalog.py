@@ -20,6 +20,7 @@ from .exactpoly import RationalPoly
 __all__ = [
     "SmoothnessClass",
     "FunctionSpec",
+    "MAX_DERIVATIVE_ORDER",
     "CATALOG",
     "get_function",
     "catalog_names",
@@ -66,17 +67,14 @@ class FunctionSpec:
     polynomial_degree: int | None
     poly: RationalPoly | None
     smoothness: SmoothnessClass
-    max_derivative_order: int = MAX_DERIVATIVE_ORDER
 
     def derivative(self, order: int, x):
         """The order-th derivative at x (scalar or ndarray).
 
         order 0 is the function itself.
         """
-        if not 0 <= order <= self.max_derivative_order:
-            raise ValueError(
-                f"{self.name}: derivative order {order} outside 0..{self.max_derivative_order}"
-            )
+        if not 0 <= order <= MAX_DERIVATIVE_ORDER:
+            raise ValueError(f"{self.name}: derivative order {order} outside 0..{MAX_DERIVATIVE_ORDER}")
         xs = np.asarray(x, dtype=float)
         out = np.asarray(self.derivative_fn(order, np.atleast_1d(xs)), dtype=float)
         return float(out[0]) if xs.ndim == 0 else out

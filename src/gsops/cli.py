@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .basis import bernstein_matrix, phi_big, t_matrix, tail_sums
+from .basis import bernstein_matrix, moment, phi_big, t_matrix, tail_sums
 from .catalog import CATALOG, FunctionSpec, catalog_names, get_function
 from .errors import IntegrationError, InvariantViolation, PreconditionError, ToleranceError
 from .exactpoly import apply_Utilde_exact, commute_check_exact, telescope_check_exact
@@ -155,8 +155,6 @@ def _lebesgue_row(n: int, grid_size: int) -> dict:
 
 def _moment_bruteforce_dev(n: int, xs: np.ndarray) -> float:
     """Max deviation between closed-form moments and the defining sums."""
-    from .basis import moment
-
     B = bernstein_matrix(n, xs)
     k_over_n = np.arange(n + 1) / n
     worst = 0.0
@@ -368,7 +366,7 @@ def _sweep(cfg: RunConfig, name: str, check, ell_mult=None) -> list[dict]:
 
 def cmd_kfunc(cfg: RunConfig) -> list[dict]:
     return _sweep(
-        cfg, "kf_sandwich", lambda f, n, _, memo: check_direct(f, n, None, cfg.grid_size, cfg.tol, memo)
+        cfg, "kf_sandwich", lambda f, n, _, memo: check_direct(f, n, cfg.grid_size, cfg.tol, memo)
     )
 
 
@@ -380,7 +378,7 @@ def cmd_converse(cfg: RunConfig) -> list[dict]:
     return _sweep(
         cfg,
         "converse",
-        lambda f, n, ell, memo: check_converse(f, n, ell, None, cfg.grid_size, cfg.tol, memo),
+        lambda f, n, ell, memo: check_converse(f, n, ell, cfg.grid_size, cfg.tol, memo),
         cfg.ell_mult,
     )
 

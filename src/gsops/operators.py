@@ -19,14 +19,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .catalog import FunctionSpec
-from .exactpoly import PHI, ExactBernsteinForm, RationalPoly, u_coefficients_exact
+from .catalog import MAX_DERIVATIVE_ORDER, FunctionSpec
+from .exactpoly import PHI, RationalPoly, u_coefficients_exact
 from .quadrature import u_coefficients_numeric
 
 __all__ = [
     "DEFAULT_TOL",
     "BernsteinForm",
-    "bernstein_form_from_poly",
     "dtilde_form",
     "dtilde_coefficient_map",
     "u_coefficient_matrix",
@@ -96,28 +95,23 @@ class BernsteinForm:
         return cls(int(data["degree"]), np.asarray(data["coeffs"], dtype=float))
 
 
-def bernstein_form_from_poly(p: RationalPoly, n: int) -> BernsteinForm:
-    """Exact Bernstein representation of a rational polynomial, then floats."""
-    exact = ExactBernsteinForm.from_poly(p, n)
-    return BernsteinForm(n, np.array([float(c) for c in exact.coeffs]))
-
-
 def dtilde_coefficient_map(coeffs: np.ndarray) -> np.ndarray:
-    """The action of Dtilde on degree-n Bernstein coefficients.
+    """The action of Dtilde on degree-n Bernstein coefficients along the last axis.
 
     Computes the second-difference representation of p'' in the degree-(n-2)
     basis scaled by n(n-1), then raises it back with
     phi P_{n-2,k} = ((k+1)(n-k-1) / ((n-1)n)) P_{n,k+1}.  Annihilates
-    coefficient vectors that are affine in k.
+    coefficient vectors that are affine in k.  Each row of a stack maps as
+    it would alone.
     """
     c = np.asarray(coeffs, dtype=float)
-    n = c.size - 1
+    n = c.shape[-1] - 1
     out = np.zeros_like(c)
     if n < 2:
         return out
-    second = n * (n - 1) * np.diff(c, n=2)
+    second = n * (n - 1) * np.diff(c, n=2, axis=-1)
     k = np.arange(n - 1, dtype=float)
-    out[1:n] = second * ((k + 1) * (n - k - 1) / ((n - 1) * n))
+    out[..., 1:n] = second * ((k + 1) * (n - k - 1) / ((n - 1) * n))
     return out
 
 
@@ -232,10 +226,10 @@ def dtilde_of_function(f: FunctionSpec, ell: int):
     Requires derivatives up to order 2*ell; callers must check the smoothness
     flags first when treating the result as an element of L_inf.
     """
-    if 2 * ell > f.max_derivative_order:
+    if 2 * ell > MAX_DERIVATIVE_ORDER:
         raise ValueError(
             f"Dtilde^{ell} of {f.name!r} needs derivative order {2 * ell}, "
-            f"only {f.max_derivative_order} available"
+            f"only {MAX_DERIVATIVE_ORDER} available"
         )
     terms = dtilde_power_terms(ell)
 

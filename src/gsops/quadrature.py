@@ -111,10 +111,9 @@ def _interior_coefficients(
 def u_coefficients_numeric(f: "FunctionSpec", n: int, target_tol: float) -> np.ndarray:
     """The coefficients u_{n,k}(f) by quadrature, endpoints taken exactly.
 
-    The rule size follows the integrand degree when the function is a
-    polynomial (making a single panel exact); transcendental functions get a
-    fixed 24-point rule with panel doubling until two successive sweeps of
-    all interior coefficients agree to ``target_tol`` in max norm.
+    A fixed 24-point rule with panel doubling until two successive sweeps of
+    all interior coefficients agree to ``target_tol`` in max norm.  (apply_U
+    takes polynomials by the exact path.)
 
     Raises ToleranceError (carrying the best estimate) if 2**10 panels are
     not enough.
@@ -126,12 +125,7 @@ def u_coefficients_numeric(f: "FunctionSpec", n: int, target_tol: float) -> np.n
     if n == 1:
         return np.array([u0, un])
 
-    deg = f.polynomial_degree
-    if deg is not None:
-        m = max(math.ceil((n + deg) / 2) + 4, 24)
-    else:
-        m = 24
-    rule = gauss_legendre(min(m, MAX_RULE_SIZE))
+    rule = gauss_legendre(24)
 
     prev: np.ndarray | None = None
     achieved = math.inf

@@ -34,14 +34,16 @@ from gsops.analysis import (
     check_converse,
     check_jackson,
     check_voronovskaya,
+    distance,
     dtilde_sup_norm,
     kfunctional_sandwich,
     lebesgue_bound,
-    rate_fit,
+    loglog_slope,
     sup_norm,
 )
-from gsops.basis import bernstein_matrix, moment, phi_big, tail_sums
+from gsops.basis import bernstein_matrix, phi_big, tail_sums
 from gsops.catalog import CATALOG, get_function
+from gsops.cli import _moment_bruteforce_dev
 from gsops.errors import PreconditionError
 from gsops.exactpoly import (
     RationalPoly,
@@ -49,7 +51,7 @@ from gsops.exactpoly import (
     commute_check_exact,
     telescope_check_exact,
 )
-from gsops.operators import apply_Utilde
+from gsops.operators import apply_U, apply_Utilde
 
 EXACT_POLYS = {
     "t2": RationalPoly([0, 0, 1]),
@@ -118,11 +120,7 @@ def test_criterion_3_eigen_and_moments():
         B = bernstein_matrix(n, xs)
         B2 = bernstein_matrix(n - 2, xs)
         # brute-force moments against the closed forms
-        k_over_n = np.arange(n + 1) / n
-        for i in range(5):
-            brute = np.sum(((k_over_n[None, :] - xs[:, None]) ** i) * B, axis=1)
-            closed = np.array([moment(n, i, float(x)) for x in xs])
-            worst_mom = max(worst_mom, float(np.max(np.abs(brute - closed))))
+        worst_mom = max(worst_mom, _moment_bruteforce_dev(n, xs))
         # phi P'' (degree-lowered second difference) against T * P, relative
         # to the absolute-term magnitude of T times P
         k = np.arange(n + 1, dtype=float)
@@ -334,6 +332,13 @@ def test_criterion_8_tail_sums():
 
 
 NS_STATED = (4, 8, 16, 32, 64)
+
+
+def rate_fit(f, ns, operator):
+    """Slope of log ||Op_n f - f|| against log n, and the (n, error) rows."""
+    op = apply_U if operator == "U" else apply_Utilde
+    rows = [(n, distance(op(f, n), f)) for n in ns]
+    return loglog_slope(f.name, rows), rows
 
 
 @pytest.fixture(scope="module")

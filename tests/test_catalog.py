@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gsops.catalog import catalog_names, get_function, polynomial_function
+from gsops.catalog import MAX_DERIVATIVE_ORDER, catalog_names, get_function, polynomial_function
 
 REQUIRED = {"one", "t", "t2", "t3", "t5mt2", "exp", "sinpi", "abs52"}
 
@@ -41,7 +41,7 @@ def test_derivative_finite_difference_consistency(name):
     # derivative(j) against the centered difference of derivative(j-1);
     # relative error floored at scale 1 so zero crossings do not blow it up
     f = get_function(name)
-    orders = range(1, f.max_derivative_order + 1)
+    orders = range(1, MAX_DERIVATIVE_ORDER + 1)
     for j in orders:
         d = f.derivative(j, CHECK_POINTS)
         up = f.derivative(j - 1, CHECK_POINTS + FD_STEP)

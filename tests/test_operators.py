@@ -10,6 +10,7 @@ from gsops.basis import bernstein_matrix, t_value
 from gsops.catalog import get_function, polynomial_function
 from gsops.exactpoly import (
     PHI,
+    ExactBernsteinForm,
     RationalPoly,
     apply_Utilde_exact,
     dtilde_exact,
@@ -21,7 +22,7 @@ from gsops.operators import (
     apply_U_to_form,
     apply_Utilde,
     apply_Utilde_to_form,
-    bernstein_form_from_poly,
+    dtilde_coefficient_map,
     dtilde_form,
     dtilde_of_function,
     dtilde_power_terms,
@@ -39,6 +40,11 @@ def utilde_of_poly(q: RationalPoly, n: int) -> BernsteinForm:
     u = np.array([float(c) for c in u_coefficients_exact(q, n)])
     p = BernsteinForm(n, u)
     return p - dtilde_form(p).scale(1.0 / n)
+
+
+def bernstein_form_from_poly(q: RationalPoly, n: int) -> BernsteinForm:
+    """The exact degree-n Bernstein representation of q, rounded to floats."""
+    return BernsteinForm(n, np.array([float(c) for c in ExactBernsteinForm.from_poly(q, n).coeffs]))
 
 
 def sup_on_grid(fn) -> float:
@@ -85,6 +91,15 @@ def test_dtilde_annihilates_linears(n):
     c = 0.25 + 0.5 * np.arange(n + 1) / max(n, 1)  # affine in k -> a linear polynomial
     out = dtilde_form(BernsteinForm(n, c))
     assert np.max(np.abs(out.coeffs)) <= 8 * n * EPS * np.max(np.abs(c))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
+def test_dtilde_coefficient_map_rows_map_alone(n):
+    stack = np.random.default_rng(n).normal(size=(3, 5, n + 1))
+    out = dtilde_coefficient_map(stack)
+    assert out.shape == stack.shape
+    for index in np.ndindex(stack.shape[:-1]):
+        assert np.array_equal(out[index], dtilde_coefficient_map(stack[index]))
 
 
 def test_dtilde_form_t2_example():
