@@ -587,10 +587,11 @@ def kfunctional_sandwich(
     """Certified two-sided estimate of K(f, 1/n^2).
 
     The upper bound minimizes ||f - g|| + t ||Dtilde^2 g|| over the concrete
-    candidates g = Utilde_m^3 f for m = n, 2n, 4n, 8n plus g = f itself when f is smooth enough; second derivatives of
-    candidates always come from the exact coefficient map, never from
-    numerical differentiation.  The operator error ||Utilde_n f - f|| is kept
-    as ``err``; divided by 1 + sqrt(3) it is the lower bound.
+    candidates g = Utilde_m^3 f for m = n, 2n, 4n, 8n plus g = f itself
+    when f is smooth enough; second derivatives of candidates always come
+    from the exact coefficient map, never from numerical differentiation.
+    The operator error ||Utilde_n f - f|| is kept as ``err``; divided by
+    1 + sqrt(3) it is the lower bound.
 
     ``memo``, a dict kept by the caller for one function f, holds the
     operator outputs and norms for later calls at other n; without it they

@@ -58,15 +58,19 @@ MAX_DERIVATIVE_ORDER = 6
 class FunctionSpec:
     """A catalog entry: vectorized evaluation plus analytic derivatives.
 
-    ``polynomial_degree`` is None for transcendental entries; polynomial
-    entries also carry their exact monomial form in ``poly``.
+    Polynomial entries carry their exact monomial form in ``poly``, from
+    which ``polynomial_degree`` is read; both are None for transcendental
+    entries.
     """
 
     name: str
     derivative_fn: Callable[[int, np.ndarray], np.ndarray]
-    polynomial_degree: int | None
     poly: RationalPoly | None
     smoothness: SmoothnessClass
+
+    @property
+    def polynomial_degree(self) -> int | None:
+        return None if self.poly is None else max(self.poly.degree, 0)
 
     def derivative(self, order: int, x):
         """The order-th derivative at x (scalar or ndarray).
@@ -96,7 +100,6 @@ def polynomial_function(name: str, coeffs) -> FunctionSpec:
     return FunctionSpec(
         name=name,
         derivative_fn=deriv,
-        polynomial_degree=max(p.degree, 0),
         poly=p,
         smoothness=_ALL_SMOOTH,
     )
@@ -106,7 +109,6 @@ def _exp_entry() -> FunctionSpec:
     return FunctionSpec(
         name="exp",
         derivative_fn=lambda order, xs: np.exp(xs),
-        polynomial_degree=None,
         poly=None,
         smoothness=_ALL_SMOOTH,
     )
@@ -119,7 +121,6 @@ def _sinpi_entry() -> FunctionSpec:
     return FunctionSpec(
         name="sinpi",
         derivative_fn=deriv,
-        polynomial_degree=None,
         poly=None,
         smoothness=_ALL_SMOOTH,
     )
@@ -145,7 +146,6 @@ def _abs52_entry() -> FunctionSpec:
     return FunctionSpec(
         name="abs52",
         derivative_fn=deriv,
-        polynomial_degree=None,
         poly=None,
         smoothness=_KINK_52,
     )

@@ -135,9 +135,6 @@ class RationalPoly:
             acc = acc * xs + float(c)
         return acc if acc.ndim else float(acc)
 
-    def max_abs_coeff(self) -> Fraction:
-        return max((abs(c) for c in self.coeffs), default=Fraction(0))
-
 
 #: The weight phi(x) = x(1 - x).
 PHI = RationalPoly([0, 1, -1])
@@ -185,13 +182,15 @@ class ExactBernsteinForm:
         return cls(n, cs)
 
     def to_poly(self) -> RationalPoly:
-        """Expand to the monomial basis: a_j = C(n,j) * (forward difference)^j c_0."""
-        out = []
+        """Expand to the monomial basis: a_j = C(n,j) * (forward difference)^j c_0.
+
+        The forward differences are the leading entries of the difference
+        table of the coefficients, built one row at a time by subtraction.
+        """
+        row, out = list(self.coeffs), []
         for j in range(self.n + 1):
-            d = Fraction(0)
-            for i in range(j + 1):
-                d += (-1) ** (j - i) * math.comb(j, i) * self.coeffs[i]
-            out.append(math.comb(self.n, j) * d)
+            out.append(math.comb(self.n, j) * row[0])
+            row = [b - a for a, b in zip(row, row[1:])]
         return RationalPoly(out)
 
     def raise_degree(self, target: int) -> "ExactBernsteinForm":
@@ -243,6 +242,9 @@ class ExactBernsteinForm:
         for j in range(1, n):
             d[j] = j * (n - j) * (c[j - 1] - 2 * c[j] + c[j + 1])
         return ExactBernsteinForm(n, d)
+
+    def max_abs_coeff(self) -> Fraction:
+        return max((abs(c) for c in self.coeffs), default=Fraction(0))
 
 
 def integrate_against_basis(m: int, j: int, p: RationalPoly) -> Fraction:
@@ -310,14 +312,11 @@ def apply_Utilde_exact(f: RationalPoly, n: int) -> ExactBernsteinForm:
     return route_i
 
 
-def _utilde_poly(f: RationalPoly, n: int) -> RationalPoly:
-    return apply_Utilde_exact(f, n).to_poly()
-
-
 def commute_check_exact(f: RationalPoly, n: int, m: int) -> dict[str, Fraction]:
     """Verify the four commutation identities with exact arithmetic.
 
-    Checks (as polynomials, coefficient by coefficient):
+    Checks, as polynomials, by their exact Bernstein coefficients at the
+    common degree:
       Dtilde U_n f        == U_n Dtilde f
       Dtilde Utilde_n f   == Utilde_n Dtilde f
       U_n Utilde_n f      == Utilde_n U_n f
@@ -329,23 +328,16 @@ def commute_check_exact(f: RationalPoly, n: int, m: int) -> dict[str, Fraction]:
     if n < 1 or m < 1:
         raise ValueError("operator indices must be >= 1")
     df = dtilde_exact(f)
+    u_n, ut_n = apply_U_exact(f, n), apply_Utilde_exact(f, n)
+    ut_n_poly = ut_n.to_poly()
 
     pairs = {
-        "dtilde_U": (
-            apply_U_exact(f, n).dtilde().to_poly(),
-            apply_U_exact(df, n).to_poly(),
-        ),
-        "dtilde_Utilde": (
-            apply_Utilde_exact(f, n).dtilde().to_poly(),
-            _utilde_poly(df, n),
-        ),
-        "U_Utilde": (
-            apply_U_exact(_utilde_poly(f, n), n).to_poly(),
-            _utilde_poly(apply_U_exact(f, n).to_poly(), n),
-        ),
+        "dtilde_U": (u_n.dtilde(), apply_U_exact(df, n)),
+        "dtilde_Utilde": (ut_n.dtilde(), apply_Utilde_exact(df, n)),
+        "U_Utilde": (apply_U_exact(ut_n_poly, n), apply_Utilde_exact(u_n.to_poly(), n)),
         "Utilde_mn": (
-            _utilde_poly(_utilde_poly(f, n), m),
-            _utilde_poly(_utilde_poly(f, m), n),
+            apply_Utilde_exact(ut_n_poly, m),
+            apply_Utilde_exact(apply_Utilde_exact(f, m).to_poly(), n),
         ),
     }
 
@@ -362,13 +354,14 @@ def telescope_check_exact(f: RationalPoly, k: int) -> Fraction:
     """Verify the exact one-step telescoping identity of the modified operator.
 
     Utilde_k f - Utilde_{k+1} f = -(1/(k^2(k+1))) * Dtilde U_{k+1} Dtilde f,
-    as an exact polynomial identity.  Returns the maximal coefficient
-    discrepancy (must be 0); nonzero raises InvariantViolation.
+    as an exact polynomial identity, compared by Bernstein coefficients at
+    degree k+1.  Returns the maximal coefficient discrepancy (must be 0);
+    nonzero raises InvariantViolation.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    lhs = _utilde_poly(f, k) - _utilde_poly(f, k + 1)
-    rhs = Fraction(-1, k * k * (k + 1)) * apply_U_exact(dtilde_exact(f), k + 1).dtilde().to_poly()
+    lhs = apply_Utilde_exact(f, k) - apply_Utilde_exact(f, k + 1)
+    rhs = apply_U_exact(dtilde_exact(f), k + 1).dtilde().scale(Fraction(-1, k * k * (k + 1)))
     disc = (lhs - rhs).max_abs_coeff()
     if disc != 0:
         raise InvariantViolation(f"telescoping identity violated at k={k}: {disc}")

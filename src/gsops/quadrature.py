@@ -54,8 +54,6 @@ def _legendre_and_derivative(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     p = x.copy()
     for j in range(2, m + 1):
         p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-    if m == 1:
-        p_prev, p = np.ones_like(x), x
     dp = m * (x * p - p_prev) / (x * x - 1.0)
     return p, dp
 

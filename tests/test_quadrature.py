@@ -93,7 +93,6 @@ def test_integrate_rejects_nonfinite():
     pole = FunctionSpec(
         name="pole",
         derivative_fn=lambda order, xs: np.where((xs > 0.0) & (xs < 1.0), np.inf, 0.0),
-        polynomial_degree=None,
         poly=None,
         smoothness=get_function("exp").smoothness,
     )
