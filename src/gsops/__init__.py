@@ -13,9 +13,6 @@ from .basis import (
     bernstein_matrix,
     moment,
     phi_big,
-    t_double_prime,
-    t_prime,
-    t_value,
     tail_sums,
     xi_zero,
 )

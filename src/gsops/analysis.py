@@ -2,11 +2,14 @@
 
 Implements the uniform-norm estimator (Chebyshev-distributed grid plus
 golden-section refinement), the Lebesgue-function bound for the modified
-operator's norm, the Jackson / Voronovskaya / Bernstein-type inequality
-checks, the decomposition checks behind the Bernstein-type constant, the
-K-functional sandwich (constructive upper candidate plus the direct-theorem
-lower bound), the strong-converse check at two operator scales, and the
-log-log slope of convergence rates.
+operator's norm, the float identities of the basis layer (partition of
+unity, moments, eigen relation, Phi(alpha), tail sums), endpoint
+interpolation, the Jackson / Voronovskaya / Bernstein-type inequality
+checks and the random Bernstein probes, the decomposition checks behind the
+Bernstein-type constant, the K-functional sandwich (constructive upper
+candidate plus the direct-theorem lower bound), the strong-converse check at
+two operator scales, and the errors and log-log slope of convergence rates.
+Every report the CLI prints is built here.
 
 Sweeps over (function, n) pairs are independent pure computations; reports
 can be produced concurrently and merged by key without affecting values.
@@ -23,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import bernstein_matrix, t_matrix, tail_sums, xi_zero
+from .basis import bernstein_matrix, moment, phi_big, t_matrix, tail_sums, xi_zero
 from .catalog import FunctionSpec
 from .errors import PreconditionError
 from .operators import (
@@ -49,20 +52,26 @@ __all__ = [
     "SupNormEstimate",
     "KfSandwich",
     "InequalityReport",
+    "StrictReport",
     "Residual",
     "sup_norm",
     "distance",
     "dtilde_sup_norm",
     "lebesgue_bound",
+    "check_lebesgue",
+    "check_float_identities",
+    "check_interpolation",
     "check_contraction_U",
     "check_jackson",
     "check_voronovskaya",
     "check_bernstein_inequality",
     "bernstein_probe_max_ratio",
+    "check_bernstein_probes",
     "check_bn_decomposition",
     "kfunctional_sandwich",
     "check_direct",
     "check_converse",
+    "rate_errors",
     "loglog_slope",
 ]
 
@@ -140,12 +149,17 @@ class InequalityReport:
     note: str = ""
 
     @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
+    def passed(self) -> bool:
+        return self.lhs <= self.rhs * (1.0 + PASS_RTOL) + PASS_ATOL
+
+
+@dataclass(frozen=True)
+class StrictReport(InequalityReport):
+    """An inequality held to lhs <= rhs, with no allowance for rounding."""
 
     @property
     def passed(self) -> bool:
-        return self.lhs <= self.rhs * (1.0 + PASS_RTOL) + PASS_ATOL
+        return self.lhs <= self.rhs
 
 
 @lru_cache(maxsize=8)
@@ -381,6 +395,91 @@ def lebesgue_bound(n: int, grid_size: int = DEFAULT_GRID) -> SupNormEstimate:
     return sup_norm(lambda xs: _ptilde_abs_sums(n, np.atleast_1d(np.asarray(xs, float))), grid_size)
 
 
+def check_lebesgue(n: int, grid_size: int = DEFAULT_GRID) -> InequalityReport:
+    """The Lebesgue-function bound against sqrt(3 - 2/n), noting the argmax."""
+    leb = lebesgue_bound(n, grid_size)
+    rhs = math.sqrt(3.0 - 2.0 / n) + 1e-9
+    return InequalityReport("lebesgue_bound", "-", n, leb.value, rhs, note=f"argmax={leb.argmax:.6f}")
+
+
+def _moment_bruteforce_dev(n: int, xs: np.ndarray) -> float:
+    """Max deviation between closed-form moments and the defining sums."""
+    B = bernstein_matrix(n, xs)
+    k_over_n = np.arange(n + 1) / n
+    worst = 0.0
+    for i in range(5):
+        brute = np.sum(((k_over_n[None, :] - xs[:, None]) ** i) * B, axis=1)
+        closed = np.array([moment(n, i, float(x)) for x in xs])
+        worst = max(worst, float(np.max(np.abs(brute - closed))))
+    return worst
+
+
+def _eigen_relation_dev(n: int, xs: np.ndarray) -> float:
+    """Max normalized deviation of phi P'' (degree-lowered form) from T * P.
+
+    Normalized by the absolute-value sum of the three terms of T times P,
+    the natural magnitude scale of the identity (T itself crosses zero).
+    """
+    B = bernstein_matrix(n, xs)
+    # zero padding stands for the terms of the second difference that fall
+    # off either end of the degree-(n-2) basis
+    P = np.pad(bernstein_matrix(n - 2, xs), ((0, 0), (2, 2)))
+    second = n * (n - 1) * ((P[:, :-2] - 2.0 * P[:, 1:-1]) + P[:, 2:])
+    phi = xs * (1.0 - xs)
+    k = np.arange(n + 1, dtype=float)
+    lhs = phi[:, None] * second
+    T = t_matrix(n, xs)
+    Tbar = T + 4.0 * k * (n - k)
+    rhs = T * B
+    mask = B > 1e-30
+    dev = np.abs(lhs - rhs)[mask] / (Tbar * B + 1e-300)[mask]
+    return float(np.max(dev))
+
+
+def check_float_identities(
+    n: int, rng: np.random.Generator, grid_size: int = DEFAULT_GRID
+) -> list[InequalityReport]:
+    """The identities of the basis layer at degree n, in floating point.
+
+    The partition of unity (held to 8 n eps, with no rounding allowance), the
+    closed-form moments and the eigen relation on 25 interior points,
+    Phi(alpha) = alpha^2 + 2 - 2/n at 20 points per alpha drawn from ``rng``,
+    the brackets of the tail sums, and the Lebesgue bound.
+    """
+    xs = np.linspace(0.0, 1.0, 1000)
+    unity_dev = float(np.max(np.abs(np.sum(bernstein_matrix(n, xs), axis=1) - 1.0)))
+    interior = np.linspace(0.02, 0.98, 25)
+    worst_phi = 0.0
+    for alpha in (-2.0, -1.0, 0.0, 1.0, 2.0, math.pi):
+        for x in rng.uniform(0.0, 1.0, size=20):
+            x = min(max(float(x), 1e-6), 1.0 - 1e-6)
+            worst_phi = max(worst_phi, abs(phi_big(alpha, n, x) - (alpha**2 + 2.0 - 2.0 / n)))
+    ts = tail_sums(n)
+    return [
+        StrictReport("partition_unity", "-", n, unity_dev, 8 * n * _EPS),
+        InequalityReport("moment_closed_forms", "-", n, _moment_bruteforce_dev(n, interior), 1e-12),
+        InequalityReport("eigen_relation", "-", n, _eigen_relation_dev(n, interior), 1e-10),
+        InequalityReport("phi_identity", "-", n, worst_phi, 1e-9),
+        InequalityReport("tail_lambda_lower", "-", n, 1.0 / (2 * n**2), ts.lam),
+        InequalityReport("tail_lambda_upper", "-", n, ts.lam, 1.0 / n**2),
+        InequalityReport("tail_theta_upper", "-", n, ts.theta, 4.0 / (9 * n**3)),
+        check_lebesgue(n, grid_size),
+    ]
+
+
+def check_interpolation(
+    f: FunctionSpec, n: int, grid_size: int = DEFAULT_GRID, tol: float = DEFAULT_TOL
+) -> list[InequalityReport]:
+    """U_n f and Utilde_n f interpolate f at 0 and 1; Utilde_n reproduces a linear f."""
+    pu = apply_U(f, n, tol)
+    put = apply_Utilde(f, n, tol)
+    dev = max(abs(p.eval(x) - f.eval(x)) for p in (pu, put) for x in (0.0, 1.0))
+    reports = [InequalityReport("endpoint_interp", f.name, n, dev, 1e-12)]
+    if f.polynomial_degree is not None and f.polynomial_degree <= 1:
+        reports.append(InequalityReport("linear_reproduction", f.name, n, distance(put, f, grid_size), 1e-12))
+    return reports
+
+
 def _require(flag: bool, f: FunctionSpec, requirement: str) -> None:
     if not flag:
         raise PreconditionError(f"{f.name}: requires {requirement}")
@@ -459,24 +558,26 @@ def bernstein_probe_max_ratio(
     return float(np.max(lhs / (n * norms)))
 
 
+def check_bernstein_probes(
+    n: int, trials: int, rng: np.random.Generator, grid_size: int = DEFAULT_GRID
+) -> InequalityReport:
+    """The worst probe ratio of bernstein_probe_max_ratio, times n, against C n."""
+    ratio = bernstein_probe_max_ratio(n, trials, rng, grid_size)
+    return InequalityReport(
+        "bernstein_probes", "random", n, ratio * n, BERNSTEIN_CONSTANT * n, note=f"trials={trials}"
+    )
+
+
 def _decomposition_parts(n: int, xs: np.ndarray, B: np.ndarray, B1: np.ndarray):
     """a_n, b_n and c_n at interior points xs, given B(n, xs) and B(n-1, xs)."""
     phi = xs * (1.0 - xs)
-    k = np.arange(n + 1, dtype=float)
 
     Pp = np.zeros_like(B)
     Pp[:, 0] = -n * B1[:, 0]
     Pp[:, n] = n * B1[:, n - 1]
     Pp[:, 1:n] = n * (B1[:, : n - 1] - B1[:, 1:n])
 
-    inv_x = 1.0 / xs
-    inv_1mx = 1.0 / (1.0 - xs)
-    kk1 = k * (k - 1.0)
-    mm1 = (n - k) * (n - k - 1.0)
-
-    T = t_matrix(n, xs)
-    Tp = -np.outer(inv_x**2, kk1) + np.outer(inv_1mx**2, mm1)
-    Tpp = 2.0 * np.outer(inv_x**3, kk1) + 2.0 * np.outer(inv_1mx**3, mm1)
+    T, Tp, Tpp = (t_matrix(n, xs, order) for order in (0, 1, 2))
 
     a = (phi / n) * np.sum(Tpp * B, axis=1)
     b = (2.0 * phi / n) * np.sum(np.abs(Tp * Pp), axis=1)
@@ -682,6 +783,19 @@ def check_converse(
         "iterate_contraction", f.name, n, lhs3, (4.0 + SQRT3) * sw.err
     )
     return [main, iterate_report]
+
+
+def rate_errors(
+    f: FunctionSpec, n: int, grid_size: int = DEFAULT_GRID, tol: float = DEFAULT_TOL
+) -> tuple[float, float, float]:
+    """(||U_n f - f||, ||Utilde_n f - f||, lambda(n)), one row of the rate table.
+
+    lambda(n) is the coefficient of Dtilde^2 f in the Voronovskaya-type
+    expansion of Utilde_n f - f.
+    """
+    err_u = distance(apply_U(f, n, tol), f, grid_size)
+    err_ut = distance(apply_Utilde(f, n, tol), f, grid_size)
+    return err_u, err_ut, tail_sums(n).lam
 
 
 def loglog_slope(name: str, rows: Sequence[tuple[int, float]]) -> float:

@@ -2,8 +2,9 @@
 
 Provides stable evaluation of the basis P_{n,k}(x) = C(n,k) x^k (1-x)^(n-k)
 by the degree-raising (de Casteljau style) triangular recurrence, the rational
-functions T_{n,k} that represent the action of Dtilde on the basis, their
-derivatives and interior zeros, the closed-form central moments of the
+functions T_{n,k} that represent the action of Dtilde on the basis and their
+first two derivatives (one vectorized t_matrix, at interior points), the
+interior zeros xi_k of T'_{n,k}, the closed-form central moments of the
 Bernstein operator, and the tail sums
 
     lambda(n) = sum_{k>=n} 1/(k^2 (k+1)),
@@ -26,20 +27,12 @@ from .errors import InvariantViolation
 __all__ = [
     "TailSums",
     "bernstein_matrix",
-    "t_value",
-    "t_prime",
-    "t_double_prime",
     "t_matrix",
     "xi_zero",
     "moment",
     "tail_sums",
     "phi_big",
 ]
-
-#: Below this distance from a singular endpoint the T functions refuse to
-#: evaluate instead of returning huge or infinite values.
-SINGULAR_EDGE = 1e-30
-
 
 #: Points per chunk of the recurrence in bernstein_matrix.
 _BASIS_CHUNK = 256
@@ -85,67 +78,32 @@ def bernstein_matrix(n: int, xs) -> np.ndarray:
     return out
 
 
-def _check_t_domain(n: int, k: int, x: float) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} out of range 0..{n}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    # The 1/x term is present only for k >= 2, the 1/(1-x) term only for
-    # k <= n-2; where the numerator vanishes identically the endpoint is a
-    # legitimate limit value.
-    if k >= 2 and x < SINGULAR_EDGE:
-        raise ValueError(f"T_{{{n},{k}}} is singular at x=0 (x={x!r})")
-    if k <= n - 2 and 1.0 - x < SINGULAR_EDGE:
-        raise ValueError(f"T_{{{n},{k}}} is singular at x=1 (x={x!r})")
+def t_matrix(n: int, xs, order: int = 0) -> np.ndarray:
+    """T_{n,k} (order 0), T'_{n,k} (1) or T''_{n,k} (2) at xs[i], as a (len(xs), n+1) array.
 
-
-def t_value(n: int, k: int, x: float) -> float:
-    """T_{n,k}(x) = k(k-1)(1-x)/x - 2k(n-k) + (n-k)(n-k-1)x/(1-x).
-
-    This is the eigen-factor of the Bernstein basis under Dtilde:
-    Dtilde P_{n,k} = T_{n,k} P_{n,k}.
-    """
-    _check_t_domain(n, k, x)
-    first = k * (k - 1) * (1.0 - x) / x if k >= 2 else 0.0
-    last = (n - k) * (n - k - 1) * x / (1.0 - x) if k <= n - 2 else 0.0
-    return first - 2.0 * k * (n - k) + last
-
-
-def t_prime(n: int, k: int, x: float) -> float:
-    """T'_{n,k}(x) = -k(k-1)/x^2 + (n-k)(n-k-1)/(1-x)^2."""
-    _check_t_domain(n, k, x)
-    first = -k * (k - 1) / (x * x) if k >= 2 else 0.0
-    last = (n - k) * (n - k - 1) / ((1.0 - x) * (1.0 - x)) if k <= n - 2 else 0.0
-    return first + last
-
-
-def t_double_prime(n: int, k: int, x: float) -> float:
-    """T''_{n,k}(x) = 2k(k-1)/x^3 + 2(n-k)(n-k-1)/(1-x)^3, positive on (0,1)."""
-    _check_t_domain(n, k, x)
-    first = 2.0 * k * (k - 1) / x**3 if k >= 2 else 0.0
-    last = 2.0 * (n - k) * (n - k - 1) / (1.0 - x) ** 3 if k <= n - 2 else 0.0
-    return first + last
-
-
-def t_matrix(n: int, xs) -> np.ndarray:
-    """T_{n,k}(xs[i]) for all k = 0..n as a (len(xs), n+1) array.
-
-    The vectorized form of t_value at points strictly inside (0, 1); the
-    endpoint limits are t_value's alone.
+    T_{n,k}(x)   = k(k-1)(1-x)/x - 2k(n-k) + (n-k)(n-k-1)x/(1-x) is the
+    eigen-factor of the Bernstein basis under Dtilde: Dtilde P_{n,k} = T_{n,k} P_{n,k};
+    T'_{n,k}(x)  = -k(k-1)/x^2 + (n-k)(n-k-1)/(1-x)^2;
+    T''_{n,k}(x) = 2k(k-1)/x^3 + 2(n-k)(n-k-1)/(1-x)^3, positive on (0, 1).
+    The points must lie strictly inside (0, 1).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.size == 0 or not (xs.min() > 0.0 and xs.max() < 1.0):
         raise ValueError("x must lie strictly inside (0, 1)")
     k = np.arange(n + 1, dtype=float)
-    return (
-        np.outer((1.0 - xs) / xs, k * (k - 1))
-        - 2.0 * k * (n - k)
-        + np.outer(xs / (1.0 - xs), (n - k) * (n - k - 1))
-    )
+    kk1 = k * (k - 1.0)
+    mm1 = (n - k) * (n - k - 1.0)
+    if order == 0:
+        return np.outer((1.0 - xs) / xs, kk1) - 2.0 * k * (n - k) + np.outer(xs / (1.0 - xs), mm1)
+    inv_x = 1.0 / xs
+    inv_1mx = 1.0 / (1.0 - xs)
+    if order == 1:
+        return -np.outer(inv_x**2, kk1) + np.outer(inv_1mx**2, mm1)
+    return 2.0 * np.outer(inv_x**3, kk1) + 2.0 * np.outer(inv_1mx**3, mm1)
 
 
 def xi_zero(n: int, k: int) -> float:

@@ -21,26 +21,26 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .basis import bernstein_matrix, moment, phi_big, t_matrix, tail_sums
 from .catalog import CATALOG, FunctionSpec, catalog_names, get_function
 from .errors import IntegrationError, InvariantViolation, PreconditionError, ToleranceError
 from .exactpoly import apply_Utilde_exact, commute_check_exact, telescope_check_exact
-from .operators import BernsteinForm, apply_U, apply_Utilde
+from .operators import BernsteinForm
 from .analysis import (
-    BERNSTEIN_CONSTANT,
     InequalityReport,
-    bernstein_probe_max_ratio,
     check_bernstein_inequality,
+    check_bernstein_probes,
     check_bn_decomposition,
     check_contraction_U,
     check_converse,
     check_direct,
+    check_float_identities,
+    check_interpolation,
     check_jackson,
+    check_lebesgue,
     check_voronovskaya,
-    distance,
     dtilde_sup_norm,
-    lebesgue_bound,
     loglog_slope,
+    rate_errors,
 )
 
 EXIT_OK = 0
@@ -141,50 +141,9 @@ def _guarded(rows: list, name: str, f: str, n: int, thunk, ell=None) -> None:
         rows.extend(_report_row(r) for r in result)
 
 
-def _lebesgue_row(n: int, grid_size: int) -> dict:
-    """The Lebesgue-function bound against sqrt(3 - 2/n), noting the argmax."""
-    leb = lebesgue_bound(n, grid_size)
-    rhs = math.sqrt(3.0 - 2.0 / n) + 1e-9
-    return _report_row(InequalityReport("lebesgue_bound", "-", n, leb.value, rhs, note=f"argmax={leb.argmax:.6f}"))
-
-
 # ---------------------------------------------------------------------------
 # verify: exact identities plus float identities
 # ---------------------------------------------------------------------------
-
-
-def _moment_bruteforce_dev(n: int, xs: np.ndarray) -> float:
-    """Max deviation between closed-form moments and the defining sums."""
-    B = bernstein_matrix(n, xs)
-    k_over_n = np.arange(n + 1) / n
-    worst = 0.0
-    for i in range(5):
-        brute = np.sum(((k_over_n[None, :] - xs[:, None]) ** i) * B, axis=1)
-        closed = np.array([moment(n, i, float(x)) for x in xs])
-        worst = max(worst, float(np.max(np.abs(brute - closed))))
-    return worst
-
-
-def _eigen_relation_dev(n: int, xs: np.ndarray) -> float:
-    """Max normalized deviation of phi P'' (degree-lowered form) from T * P.
-
-    Normalized by the absolute-value sum of the three terms of T times P,
-    the natural magnitude scale of the identity (T itself crosses zero).
-    """
-    B = bernstein_matrix(n, xs)
-    # zero padding stands for the terms of the second difference that fall
-    # off either end of the degree-(n-2) basis
-    P = np.pad(bernstein_matrix(n - 2, xs), ((0, 0), (2, 2)))
-    second = n * (n - 1) * ((P[:, :-2] - 2.0 * P[:, 1:-1]) + P[:, 2:])
-    phi = xs * (1.0 - xs)
-    k = np.arange(n + 1, dtype=float)
-    lhs = phi[:, None] * second
-    T = t_matrix(n, xs)
-    Tbar = T + 4.0 * k * (n - k)
-    rhs = T * B
-    mask = B > 1e-30
-    dev = np.abs(lhs - rhs)[mask] / (Tbar * B + 1e-300)[mask]
-    return float(np.max(dev))
 
 
 def _verify_exact_rows(f: FunctionSpec, n: int) -> list[dict]:
@@ -205,59 +164,6 @@ def _verify_exact_rows(f: FunctionSpec, n: int) -> list[dict]:
     return rows
 
 
-def _verify_float_rows(cfg: RunConfig, n: int, rng: np.random.Generator) -> list[dict]:
-    rows: list[dict] = []
-    eps = float(np.finfo(float).eps)
-
-    xs = np.linspace(0.0, 1.0, 1000)
-    dev = float(np.max(np.abs(np.sum(bernstein_matrix(n, xs), axis=1) - 1.0)))
-    rows.append(_row("partition_unity", "-", n, None, dev, 8 * n * eps, "pass" if dev <= 8 * n * eps else "fail"))
-
-    interior = np.linspace(0.02, 0.98, 25)
-    rows.append(
-        _report_row(InequalityReport("moment_closed_forms", "-", n, _moment_bruteforce_dev(n, interior), 1e-12))
-    )
-    rows.append(
-        _report_row(InequalityReport("eigen_relation", "-", n, _eigen_relation_dev(n, interior), 1e-10))
-    )
-
-    worst_phi = 0.0
-    for alpha in (-2.0, -1.0, 0.0, 1.0, 2.0, math.pi):
-        for x in rng.uniform(0.0, 1.0, size=20):
-            x = min(max(float(x), 1e-6), 1.0 - 1e-6)
-            worst_phi = max(worst_phi, abs(phi_big(alpha, n, x) - (alpha**2 + 2.0 - 2.0 / n)))
-    rows.append(_report_row(InequalityReport("phi_identity", "-", n, worst_phi, 1e-9)))
-
-    ts = tail_sums(n)
-    rows.append(_report_row(InequalityReport("tail_lambda_lower", "-", n, 1.0 / (2 * n**2), ts.lam)))
-    rows.append(_report_row(InequalityReport("tail_lambda_upper", "-", n, ts.lam, 1.0 / n**2)))
-    rows.append(_report_row(InequalityReport("tail_theta_upper", "-", n, ts.theta, 4.0 / (9 * n**3))))
-
-    rows.append(_lebesgue_row(n, cfg.grid_size))
-    return rows
-
-
-def _verify_function_rows(cfg: RunConfig, f: FunctionSpec, n: int) -> list[dict]:
-    rows: list[dict] = []
-    pu = apply_U(f, n, cfg.tol)
-    put = apply_Utilde(f, n, cfg.tol)
-    dev = max(
-        abs(pu.eval(0.0) - f.eval(0.0)),
-        abs(pu.eval(1.0) - f.eval(1.0)),
-        abs(put.eval(0.0) - f.eval(0.0)),
-        abs(put.eval(1.0) - f.eval(1.0)),
-    )
-    rows.append(_report_row(InequalityReport("endpoint_interp", f.name, n, dev, 1e-12)))
-
-    if f.polynomial_degree is not None and f.polynomial_degree <= 1:
-        err = distance(put, f, cfg.grid_size)
-        rows.append(_report_row(InequalityReport("linear_reproduction", f.name, n, err, 1e-12)))
-
-    _guarded(rows, "contraction_U", f.name, n, lambda: check_contraction_U(f, n, cfg.grid_size, cfg.tol))
-    _guarded(rows, "jackson", f.name, n, lambda: check_jackson(f, n, cfg.grid_size, cfg.tol))
-    return rows
-
-
 def cmd_verify(cfg: RunConfig) -> list[dict]:
     rows: list[dict] = []
     rng = np.random.default_rng(cfg.seed)
@@ -265,9 +171,11 @@ def cmd_verify(cfg: RunConfig) -> list[dict]:
     for n in cfg.n_list:
         for f in polys:
             rows.extend(_verify_exact_rows(f, n))
-        rows.extend(_verify_float_rows(cfg, n, rng))
-        for name in cfg.fns:
-            rows.extend(_verify_function_rows(cfg, get_function(name), n))
+        rows.extend(_report_row(r) for r in check_float_identities(n, rng, cfg.grid_size))
+        for f in map(get_function, cfg.fns):
+            rows.extend(_report_row(r) for r in check_interpolation(f, n, cfg.grid_size, cfg.tol))
+            _guarded(rows, "contraction_U", f.name, n, lambda: check_contraction_U(f, n, cfg.grid_size, cfg.tol))
+            _guarded(rows, "jackson", f.name, n, lambda: check_jackson(f, n, cfg.grid_size, cfg.tol))
     return rows
 
 
@@ -286,8 +194,7 @@ def cmd_table(cfg: RunConfig) -> list[dict]:
         d2norm = dtilde_sup_norm(f, 2, cfg.grid_size) if jackson_ok else None
         errors: dict[str, list[tuple[int, float]]] = {"U": [], "Utilde": []}
         for n in cfg.n_list:
-            err_u = distance(apply_U(f, n, cfg.tol), f, cfg.grid_size)
-            err_ut = distance(apply_Utilde(f, n, cfg.tol), f, cfg.grid_size)
+            err_u, err_ut, lam = rate_errors(f, n, cfg.grid_size, cfg.tol)
             errors["U"].append((n, err_u))
             errors["Utilde"].append((n, err_ut))
             bound = d2norm / n**2 if d2norm is not None else None
@@ -297,7 +204,7 @@ def cmd_table(cfg: RunConfig) -> list[dict]:
                     "n": n,
                     "err_U": err_u,
                     "err_Utilde": err_ut,
-                    "lambda_n": tail_sums(n).lam,
+                    "lambda_n": lam,
                     "bound_jackson": bound,
                     "ratio": (err_ut / bound) if bound else None,
                 }
@@ -325,7 +232,7 @@ def cmd_table(cfg: RunConfig) -> list[dict]:
 def cmd_norms(cfg: RunConfig) -> list[dict]:
     rows: list[dict] = []
     for n in cfg.n_list:
-        rows.append(_lebesgue_row(n, cfg.grid_size))
+        rows.append(_report_row(check_lebesgue(n, cfg.grid_size)))
         for name in cfg.fns:
             _guarded(
                 rows, "bernstein", name, n,
@@ -333,15 +240,7 @@ def cmd_norms(cfg: RunConfig) -> list[dict]:
             )
         if cfg.probes > 0:
             rng = np.random.default_rng([cfg.seed, n])
-            ratio = bernstein_probe_max_ratio(n, cfg.probes, rng, cfg.grid_size)
-            rows.append(
-                _report_row(
-                    InequalityReport(
-                        "bernstein_probes", "random", n, ratio * n, BERNSTEIN_CONSTANT * n,
-                        note=f"trials={cfg.probes}",
-                    )
-                )
-            )
+            rows.append(_report_row(check_bernstein_probes(n, cfg.probes, rng, cfg.grid_size)))
         for rep in check_bn_decomposition(n, cfg.grid_size):
             rows.append(_report_row(rep))
     return rows
@@ -532,7 +431,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"gsops: configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ToleranceError, IntegrationError) as exc:
+    except (ToleranceError, IntegrationError, MemoryError) as exc:
         print(f"gsops: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     text = render(cfg, rows, columns)

@@ -65,18 +65,6 @@ class RationalPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def constant(cls, value) -> "RationalPoly":
-        return cls([_as_fraction(value)])
-
-    @classmethod
-    def monomial(cls, power: int, coeff=1) -> "RationalPoly":
-        if power < 0:
-            raise ValueError("power must be >= 0")
-        return cls([0] * power + [coeff])
-
     # -- structure ----------------------------------------------------------
 
     @property
@@ -99,9 +87,6 @@ class RationalPoly:
     def __sub__(self, other: "RationalPoly") -> "RationalPoly":
         n = max(len(self.coeffs), len(other.coeffs))
         return RationalPoly([self.coeff(i) - other.coeff(i) for i in range(n)])
-
-    def __neg__(self) -> "RationalPoly":
-        return RationalPoly([-c for c in self.coeffs])
 
     def __mul__(self, other) -> "RationalPoly":
         if isinstance(other, RationalPoly):
@@ -215,11 +200,6 @@ class ExactBernsteinForm:
         for level in range(self.n):
             vals = [(1 - x) * vals[i] + x * vals[i + 1] for i in range(len(vals) - 1)]
         return vals[0]
-
-    def __add__(self, other: "ExactBernsteinForm") -> "ExactBernsteinForm":
-        n = max(self.n, other.n)
-        a, b = self.raise_degree(n), other.raise_degree(n)
-        return ExactBernsteinForm(n, [x + y for x, y in zip(a.coeffs, b.coeffs)])
 
     def __sub__(self, other: "ExactBernsteinForm") -> "ExactBernsteinForm":
         n = max(self.n, other.n)

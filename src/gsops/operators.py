@@ -74,11 +74,6 @@ class BernsteinForm:
         out = b[:, 0]
         return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
-    def __add__(self, other: "BernsteinForm") -> "BernsteinForm":
-        if self.n != other.n:
-            raise ValueError("degree mismatch")
-        return BernsteinForm(self.n, self.coeffs + other.coeffs)
-
     def __sub__(self, other: "BernsteinForm") -> "BernsteinForm":
         if self.n != other.n:
             raise ValueError("degree mismatch")

@@ -28,6 +28,7 @@ from gsops.analysis import (
     PASS_ATOL,
     PASS_RTOL,
     SQRT3,
+    _moment_bruteforce_dev,
     bernstein_probe_max_ratio,
     check_bernstein_inequality,
     check_bn_decomposition,
@@ -43,7 +44,6 @@ from gsops.analysis import (
 )
 from gsops.basis import bernstein_matrix, phi_big, tail_sums
 from gsops.catalog import CATALOG, get_function
-from gsops.cli import _moment_bruteforce_dev
 from gsops.errors import PreconditionError
 from gsops.exactpoly import (
     RationalPoly,

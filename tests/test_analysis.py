@@ -11,12 +11,16 @@ from gsops.analysis import (
     CONVERSE_SCALE_FACTOR,
     InequalityReport,
     SQRT3,
+    StrictReport,
     bernstein_probe_max_ratio,
     check_bernstein_inequality,
+    check_bernstein_probes,
     check_bn_decomposition,
     check_contraction_U,
     check_converse,
     check_direct,
+    check_float_identities,
+    check_interpolation,
     check_jackson,
     check_voronovskaya,
     distance,
@@ -210,7 +214,7 @@ def test_bernstein_t2_n4_margin():
     rep = check_bernstein_inequality(get_function("t2"), 4)
     # Dtilde(x^2 + phi/10) = 1.8 phi, sup 0.45
     assert rep.lhs == pytest.approx(0.45, abs=1e-12)
-    assert rep.margin > 30.0  # ||f|| = 1
+    assert rep.rhs - rep.lhs > 30.0  # ||f|| = 1
 
 
 @pytest.mark.parametrize("name", sorted(catalog_names()))
@@ -469,10 +473,53 @@ def test_series_representation_float_pipeline():
 # -- report plumbing -----------------------------------------------------------------
 
 
-def test_report_pass_rule_and_margin():
-    r = InequalityReport("x", "f", 2, 1.0, 2.0)
-    assert r.passed and r.margin == 1.0
+def test_report_pass_rule():
+    assert InequalityReport("x", "f", 2, 1.0, 2.0).passed
     assert InequalityReport("x", "f", 2, 2e-12, 0.0).passed is False
     assert InequalityReport("x", "f", 2, 1.0 + 1e-8, 1.0).passed is False
     assert InequalityReport("x", "f", 2, 1e-13, 0.0).passed  # absolute slack
     assert InequalityReport("x", "f", 2, 2.0, 2.0 * (1 + 1e-10)).passed  # relative slack
+
+
+def test_strict_report_has_no_slack():
+    assert StrictReport("x", "f", 2, 1.0, 1.0).passed
+    assert StrictReport("x", "f", 2, 1e-13, 0.0).passed is False
+    assert StrictReport("x", "f", 2, 2.0, 2.0 * (1 + 1e-10)).passed
+
+
+# -- the printed identity and probe rows ------------------------------------------------
+
+
+def test_float_identities_rows():
+    reports = check_float_identities(16, np.random.default_rng(3), grid_size=257)
+    assert [r.name for r in reports] == [
+        "partition_unity",
+        "moment_closed_forms",
+        "eigen_relation",
+        "phi_identity",
+        "tail_lambda_lower",
+        "tail_lambda_upper",
+        "tail_theta_upper",
+        "lebesgue_bound",
+    ]
+    assert all(r.passed and r.n == 16 for r in reports)
+    # the partition of unity is held to 8 n eps with no rounding allowance
+    assert type(reports[0]) is StrictReport and reports[0].rhs == 8 * 16 * np.finfo(float).eps
+    assert reports[-1].note.startswith("argmax=")
+    # the phi_identity draws come from the given generator alone
+    again = check_float_identities(16, np.random.default_rng(3), grid_size=257)
+    assert [r.lhs for r in again] == [r.lhs for r in reports]
+
+
+@pytest.mark.parametrize(("name", "rows"), [("t", 2), ("one", 2), ("t2", 1), ("abs52", 1)])
+def test_check_interpolation_rows(name, rows):
+    reports = check_interpolation(get_function(name), 5)
+    assert [r.name for r in reports] == ["endpoint_interp", "linear_reproduction"][:rows]
+    assert all(r.passed for r in reports)
+
+
+def test_check_bernstein_probes_scales_the_ratio():
+    ratio = bernstein_probe_max_ratio(8, 20, np.random.default_rng(5))
+    rep = check_bernstein_probes(8, 20, np.random.default_rng(5))
+    assert (rep.name, rep.f, rep.note) == ("bernstein_probes", "random", "trials=20")
+    assert rep.lhs == ratio * 8 and rep.rhs == BERNSTEIN_CONSTANT * 8 and rep.passed

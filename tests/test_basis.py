@@ -1,6 +1,7 @@
 """Tests for the Bernstein basis layer, T functions, moments and tail sums."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,10 +12,7 @@ from gsops.basis import (
     bernstein_matrix,
     moment,
     phi_big,
-    t_double_prime,
     t_matrix,
-    t_prime,
-    t_value,
     tail_sums,
     xi_zero,
 )
@@ -45,6 +43,16 @@ def t_centered(n: int, k: int, x: float) -> float:
     return n * (-1.0 - (1.0 - 2.0 * x) / phi * u + n / phi * u * u)
 
 
+def t_value_exact(n: int, k: int, x: Fraction, order: int) -> Fraction:
+    """T_{n,k}, T'_{n,k} or T''_{n,k} at a rational interior x, exactly (test oracle only)."""
+    a, b = k * (k - 1), (n - k) * (n - k - 1)
+    if order == 0:
+        return a * (1 - x) / x - 2 * k * (n - k) + b * x / (1 - x)
+    if order == 1:
+        return -a / x**2 + b / (1 - x) ** 2
+    return 2 * a / x**3 + 2 * b / (1 - x) ** 3
+
+
 def moment_bruteforce(n: int, i: int, x: float) -> float:
     vals = basis_at(n, x)
     k = np.arange(n + 1)
@@ -52,12 +60,16 @@ def moment_bruteforce(n: int, i: int, x: float) -> float:
 
 
 def bisect_t_prime_zero(n: int, k: int) -> float:
-    """Root of t_prime by bisection; T' is strictly increasing (T'' > 0)."""
+    """Root of T'_{n,k} (t_matrix order 1) by bisection; T' is strictly increasing (T'' > 0)."""
+
+    def t_prime(x: float) -> float:
+        return float(t_matrix(n, [x], 1)[0, k])
+
     lo, hi = (k - 1) / n, (k + 1) / n
-    assert t_prime(n, k, lo) < 0 < t_prime(n, k, hi)
+    assert t_prime(lo) < 0 < t_prime(hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if t_prime(n, k, mid) < 0:
+        if t_prime(mid) < 0:
             lo = mid
         else:
             hi = mid
@@ -140,7 +152,7 @@ def test_eigen_relation_phi_second_derivative(n):
         if k <= n - 2:
             acc += B2[:, k]
         lhs = xs * (1 - xs) * n * (n - 1) * acc
-        t = np.array([t_value(n, k, float(x)) for x in xs])
+        t = t_matrix(n, xs)[:, k]
         tbar = (
             k * (k - 1) * (1 - xs) / xs
             + 2 * k * (n - k)
@@ -172,26 +184,15 @@ def test_basis_nonnegative_and_normalized(n, x):
 
 
 def test_t_value_examples():
-    assert t_value(2, 1, 0.5) == pytest.approx(-2.0, abs=0.0)
-    assert t_value(2, 0, 0.5) == pytest.approx(2.0, abs=0.0)
-
-
-def test_t_endpoint_limits_allowed_when_nonsingular():
-    # k <= 1: the 1/x term vanishes identically, x = 0 is a limit value
-    assert t_value(5, 0, 0.0) == 0.0
-    assert t_value(5, 1, 0.0) == -2.0 * (5 - 1)
-    assert t_value(5, 5, 1.0) == 0.0
-    assert t_value(5, 4, 1.0) == -2.0 * (5 - 1)
+    assert list(t_matrix(2, [0.5])[0]) == [2.0, -2.0, 2.0]
 
 
 def test_t_singular_endpoints_refused():
-    for fn in (t_value, t_prime, t_double_prime):
+    for order in (0, 1, 2):
         with pytest.raises(ValueError):
-            fn(6, 2, 0.0)
+            t_matrix(6, [0.0], order)
         with pytest.raises(ValueError):
-            fn(6, 3, 1.0)
-        with pytest.raises(ValueError):
-            fn(6, 2, 1e-31)
+            t_matrix(6, [1.0], order)
 
 
 @pytest.mark.parametrize("n", [2, 5, 17, 60, 200])
@@ -200,7 +201,7 @@ def test_t_forms_agree(n):
     xs = rng.uniform(0.01, 0.99, size=25)
     for k in range(n + 1):
         for x in xs:
-            t1 = t_value(n, k, float(x))
+            t1 = t_matrix(n, [x])[0, k]
             t2 = t_centered(n, k, float(x))
             tbar = (
                 k * (k - 1) * (1 - x) / x
@@ -221,35 +222,57 @@ def test_sum_t_times_basis_vanishes(n):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 40])
 def test_t_matrix_matches_t_value(n):
+    # every order against the exact rational values at the same points,
+    # relative to n^2 / phi^(order + 1), which bounds each term of the sum
     xs = np.array([1e-3, 0.2, 0.5, 0.77, 1.0 - 1e-3])
-    got = t_matrix(n, xs)
-    assert got.shape == (xs.size, n + 1)
-    for i, x in enumerate(xs):
-        for k in range(n + 1):
-            t = t_value(n, k, float(x))
-            assert abs(got[i, k] - t) <= 1e-12 * (abs(t) + n * n)
+    for order in (0, 1, 2):
+        got = t_matrix(n, xs, order)
+        assert got.shape == (xs.size, n + 1)
+        for i, x in enumerate(xs):
+            xq = Fraction(float(x))
+            scale = n * n / (xq * (1 - xq)) ** (order + 1)
+            for k in range(n + 1):
+                err = abs(Fraction(float(got[i, k])) - t_value_exact(n, k, xq, order))
+                assert err <= Fraction(1e-12) * scale, (order, x, k)
 
 
 def test_t_matrix_interior_only():
-    # the endpoint limits belong to the scalar t_value
-    for xs in ([0.0, 0.5], [0.5, 1.0], [0.5, np.nan], []):
-        with pytest.raises(ValueError, match="strictly inside"):
-            t_matrix(5, xs)
+    # T and its derivatives are singular at 0 (k >= 2) and 1 (k <= n-2)
+    for order in (0, 1, 2):
+        for xs in ([0.0, 0.5], [0.5, 1.0], [0.5, np.nan], []):
+            with pytest.raises(ValueError, match="strictly inside"):
+                t_matrix(5, xs, order)
     with pytest.raises(ValueError):
         t_matrix(0, [0.5])
+    with pytest.raises(ValueError, match="order"):
+        t_matrix(5, [0.5], 3)
+
+
+@pytest.mark.parametrize("n", [2, 5, 17, 60])
+def test_t_matrix_derivatives_match_centered_differences(n):
+    # orders 1 and 2 against centered differences of orders 0 and 1; the
+    # truncation (h^2) and rounding (eps/h) errors are far below 1e-7 of the
+    # terms' magnitude n^2 / phi^(order + 1) on [0.05, 0.95]
+    h = 1e-6
+    xs = np.linspace(0.05, 0.95, 37)
+    phi = xs * (1.0 - xs)
+    for order in (1, 2):
+        fd = (t_matrix(n, xs + h, order - 1) - t_matrix(n, xs - h, order - 1)) / (2.0 * h)
+        scale = (n * n / phi ** (order + 1))[:, None]
+        assert np.all(np.abs(fd - t_matrix(n, xs, order)) <= 1e-7 * scale), order
 
 
 def test_t_prime_examples():
-    assert t_prime(2, 1, 0.5) == 0.0  # both numerators vanish
+    assert t_matrix(2, [0.5], 1)[0, 1] == 0.0  # both numerators vanish
     xi = xi_zero(4, 2)
     assert xi == 0.5
-    assert abs(t_prime(4, 2, xi)) <= 1e-9 * t_double_prime(4, 2, xi)
+    assert abs(t_matrix(4, [xi], 1)[0, 2]) <= 1e-9 * t_matrix(4, [xi], 2)[0, 2]
 
 
 @pytest.mark.parametrize("n,k", [(5, 2), (5, 3), (9, 4), (12, 7), (30, 11)])
 def test_t_double_prime_positive(n, k):
-    for x in np.linspace(0.05, 0.95, 19):
-        assert t_double_prime(n, k, float(x)) > 0.0
+    xs = np.linspace(0.05, 0.95, 19)
+    assert np.all(t_matrix(n, xs, 2)[:, k] > 0.0)
 
 
 # -- xi_zero ------------------------------------------------------------------
@@ -265,7 +288,7 @@ def test_xi_zero_closed_forms():
 def test_xi_zero_matches_bisection(n, k):
     assert xi_zero(n, k) == pytest.approx(bisect_t_prime_zero(n, k), abs=1e-12)
     xi = xi_zero(n, k)
-    assert abs(t_prime(n, k, xi)) <= 1e-9 * t_double_prime(n, k, xi)
+    assert abs(t_matrix(n, [xi], 1)[0, k]) <= 1e-9 * t_matrix(n, [xi], 2)[0, k]
 
 
 def test_xi_zero_bracketing_sweep():

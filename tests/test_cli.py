@@ -15,6 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gsops.basis
+import gsops.cli
+from gsops.analysis import _eigen_relation_dev
 from gsops.basis import bernstein_matrix, t_matrix
 from gsops.catalog import catalog_names
 from gsops.cli import (
@@ -23,7 +26,6 @@ from gsops.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
-    _eigen_relation_dev,
     _fail_row,
     build_parser,
     config_from_args,
@@ -342,6 +344,22 @@ def test_unreachable_tolerance_inside_a_check_is_usage_error(argv, capsys):
     assert "Traceback" not in err
 
 
+def test_oversized_sizes_are_usage_errors(tmp_path, capsys):
+    # a 10^15-point grid asks numpy for 7 PiB, which fails at once without
+    # touching memory; MemoryError is a usage error, not a violated check
+    form_path = tmp_path / "f.json"
+    form_path.write_text('{"degree": 1, "coeffs": [0.0, 1.0]}', encoding="utf-8")
+    for argv in (
+        ["verify", "--fns", "t", "--n", "2", "--grid", "1000000000000000"],
+        ["eval", "--form", str(form_path), "--points", "grid:1000000000000000"],
+    ):
+        assert main(argv) == EXIT_USAGE, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("gsops: MemoryError:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 def test_csv_note_with_comma_keeps_the_header_width():
     # the note names u_{4,k}, whose comma is quoted
     cfg = config_from_args(build_parser().parse_args(["voronovskaya", "--fns", "exp", "--n", "4"]))
@@ -359,6 +377,21 @@ def test_eval_non_finite_coefficient_is_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert text == ""
     assert "non-finite coefficient" in capsys.readouterr().err
+
+
+# -- layering: the CLI parses, guards, sorts and renders -----------------------------------
+
+
+def test_cli_defines_no_check():
+    # every check and its report are built in gsops.analysis; the CLI binds
+    # nothing of the basis layer and constructs no InequalityReport itself
+    bound = [
+        name for name, obj in vars(gsops.cli).items()
+        if getattr(obj, "__module__", None) == gsops.basis.__name__
+    ]
+    assert bound == []
+    source = Path(gsops.cli.__file__).read_text(encoding="utf-8")
+    assert "InequalityReport(" not in source
 
 
 # -- byte identity with the recorded reference ----------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gsops.basis import bernstein_matrix, t_value
+from gsops.basis import bernstein_matrix, t_matrix
 from gsops.catalog import get_function, polynomial_function
 from gsops.exactpoly import (
     PHI,
@@ -73,12 +73,11 @@ def test_form_arithmetic_and_json():
     a = BernsteinForm(2, [1.0, 2.0, 3.0])
     b = BernsteinForm(2, [0.5, 0.5, 0.5])
     assert (a - b).coeffs == pytest.approx([0.5, 1.5, 2.5])
-    assert (a + b).coeffs == pytest.approx([1.5, 2.5, 3.5])
     assert a.scale(2.0).coeffs == pytest.approx([2.0, 4.0, 6.0])
     round_trip = BernsteinForm.from_json_dict(a.to_json_dict())
     assert round_trip.n == a.n and round_trip.coeffs == pytest.approx(a.coeffs, abs=0.0)
     with pytest.raises(ValueError):
-        a + BernsteinForm(3, [0, 0, 0, 0])
+        a - BernsteinForm(3, [0, 0, 0, 0])
     with pytest.raises(ValueError):
         BernsteinForm(2, [1.0])
 
@@ -120,7 +119,7 @@ def test_dtilde_form_eigen_relation(n):
         e = np.zeros(n + 1)
         e[k] = 1.0
         d = dtilde_form(BernsteinForm(n, e))
-        expected = np.array([t_value(n, k, float(x)) for x in xs]) * B[:, k]
+        expected = t_matrix(n, xs)[:, k] * B[:, k]
         assert d.eval(xs) == pytest.approx(expected, abs=1e-10 * n**2)
 
 
