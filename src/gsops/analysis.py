@@ -39,6 +39,7 @@ from .operators import (
     dtilde_form,
     dtilde_of_function,
     u_coefficient_matrix,
+    utilde_from_u,
 )
 
 __all__ = [
@@ -100,8 +101,6 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: degree of a default sweep (n up to 512 on the default grid); a basis larger
 #: than the budget is used once and not kept.
 GRID_BASIS_BUDGET = 20 * 2**20
-#: Candidate grid points re-evaluated by de Casteljau per call.
-_CONFIRM_CHUNK = 128
 #: Row block of check_bn_decomposition.
 _DECOMPOSITION_BLOCK = 256
 _EPS = float(np.finfo(float).eps)
@@ -271,14 +270,9 @@ def _screened_grid_max(fn: Residual, xs: np.ndarray, grid_size: int) -> tuple[in
         return i, float(vals[i])
 
     candidates = np.flatnonzero(screened >= np.max(screened) - 2.0 * delta)
-    best_i, best_v = -1, -math.inf
-    for start in range(0, candidates.size, _CONFIRM_CHUNK):
-        idx = candidates[start : start + _CONFIRM_CHUNK]
-        vals = _abs_values(fn, xs[idx])
-        j = int(np.argmax(vals))
-        if vals[j] > best_v:
-            best_i, best_v = int(idx[j]), float(vals[j])
-    return best_i, best_v
+    vals = _abs_values(fn, xs[candidates])
+    j = int(np.argmax(vals))
+    return int(candidates[j]), float(vals[j])
 
 
 def _probe_points(a: float, b: float, c: float, d: float, left: bool, depth: int) -> list[float]:
@@ -451,9 +445,9 @@ def check_float_identities(
     interior = np.linspace(0.02, 0.98, 25)
     worst_phi = 0.0
     for alpha in (-2.0, -1.0, 0.0, 1.0, 2.0, math.pi):
-        for x in rng.uniform(0.0, 1.0, size=20):
-            x = min(max(float(x), 1e-6), 1.0 - 1e-6)
-            worst_phi = max(worst_phi, abs(phi_big(alpha, n, x) - (alpha**2 + 2.0 - 2.0 / n)))
+        x = np.clip(rng.uniform(0.0, 1.0, size=20), 1e-6, 1.0 - 1e-6)
+        dev = np.abs(phi_big(alpha, n, x) - (alpha**2 + 2.0 - 2.0 / n))
+        worst_phi = max(worst_phi, float(np.max(dev)))
     ts = tail_sums(n)
     return [
         StrictReport("partition_unity", "-", n, unity_dev, 8 * n * _EPS),
@@ -472,7 +466,7 @@ def check_interpolation(
 ) -> list[InequalityReport]:
     """U_n f and Utilde_n f interpolate f at 0 and 1; Utilde_n reproduces a linear f."""
     pu = apply_U(f, n, tol)
-    put = apply_Utilde(f, n, tol)
+    put = utilde_from_u(pu)
     dev = max(abs(p.eval(x) - f.eval(x)) for p in (pu, put) for x in (0.0, 1.0))
     reports = [InequalityReport("endpoint_interp", f.name, n, dev, 1e-12)]
     if f.polynomial_degree is not None and f.polynomial_degree <= 1:
@@ -793,8 +787,9 @@ def rate_errors(
     lambda(n) is the coefficient of Dtilde^2 f in the Voronovskaya-type
     expansion of Utilde_n f - f.
     """
-    err_u = distance(apply_U(f, n, tol), f, grid_size)
-    err_ut = distance(apply_Utilde(f, n, tol), f, grid_size)
+    pu = apply_U(f, n, tol)
+    err_u = distance(pu, f, grid_size)
+    err_ut = distance(utilde_from_u(pu), f, grid_size)
     return err_u, err_ut, tail_sums(n).lam
 
 

@@ -33,12 +33,20 @@ __all__ = [
     "apply_Utilde",
     "apply_U_to_form",
     "apply_Utilde_to_form",
+    "utilde_from_u",
     "iterate_Utilde",
     "dtilde_power_terms",
     "dtilde_of_function",
 ]
 
 DEFAULT_TOL = 1e-10
+#: Floats in each work array of BernsteinForm.eval (256 KiB).
+EVAL_WORKSPACE = 2**15
+
+
+def _eval_chunk(n: int) -> int:
+    """Points per de Casteljau chunk at degree n: at most 256, and (n+1) of them fit the workspace."""
+    return max(1, min(256, EVAL_WORKSPACE // (n + 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,15 +71,40 @@ class BernsteinForm:
         object.__setattr__(self, "coeffs", c)
 
     def eval(self, x):
-        """De Casteljau evaluation at a scalar or an array of points."""
+        """De Casteljau evaluation at a scalar or an array of points.
+
+        The points are taken in chunks of w = _eval_chunk(n).  A chunk runs
+        level by level, in place, over flat arrays in which row k holds
+        coefficient k at each of its points, so a level is three contiguous
+        ufunc calls on prefixes of length level * w.  Every entry is still
+        (1 - t) b_k + t b_{k+1}, rounded as in the textbook recurrence.  Each
+        of the four work arrays holds at most EVAL_WORKSPACE floats, for any
+        degree below EVAL_WORKSPACE.
+        """
         xs = np.asarray(x, dtype=float)
-        pts = np.atleast_1d(xs)
-        b = np.broadcast_to(self.coeffs, (pts.size, self.n + 1)).copy()
-        t = pts[:, None]
-        s = 1.0 - t
-        for level in range(self.n, 0, -1):
-            b = s * b[:, :level] + t * b[:, 1:level + 1]
-        out = b[:, 0]
+        pts = np.atleast_1d(xs).ravel()
+        n = self.n
+        out = np.empty(pts.size)
+        width = max(1, min(_eval_chunk(n), pts.size))
+        b_buf = np.empty((n + 1) * width)
+        t_buf = np.empty(n * width)
+        s_buf = np.empty(n * width)
+        tmp = np.empty(n * width)
+        for start in range(0, pts.size, width):
+            t = pts[start : start + width]
+            w = t.size
+            b = b_buf[: (n + 1) * w]
+            T = t_buf[: n * w]
+            S = s_buf[: n * w]
+            b.reshape(n + 1, w)[:] = self.coeffs[:, None]
+            T.reshape(n, w)[:] = t
+            np.subtract(1.0, T, out=S)
+            for m in range(n * w, 0, -w):
+                head, prod = b[:m], tmp[:m]
+                np.multiply(T[:m], b[w : m + w], out=prod)
+                np.multiply(S[:m], head, out=head)
+                np.add(head, prod, out=head)
+            out[start : start + w] = b[:w]
         return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
     def __sub__(self, other: "BernsteinForm") -> "BernsteinForm":
@@ -148,10 +181,14 @@ def apply_U_to_form(p: BernsteinForm, n: int) -> BernsteinForm:
     return BernsteinForm(n, u)
 
 
+def utilde_from_u(p: BernsteinForm) -> BernsteinForm:
+    """Utilde_n f = U_n f - (1/n) Dtilde U_n f from p = U_n f of degree n."""
+    return p - dtilde_form(p).scale(1.0 / p.n)
+
+
 def apply_Utilde_to_form(p: BernsteinForm, n: int) -> BernsteinForm:
     """Utilde_n applied to a polynomial already in Bernstein form."""
-    out = apply_U_to_form(p, n)
-    return out - dtilde_form(out).scale(1.0 / n)
+    return utilde_from_u(apply_U_to_form(p, n))
 
 
 def apply_U(f: FunctionSpec, n: int, tol: float = DEFAULT_TOL) -> BernsteinForm:
@@ -171,8 +208,7 @@ def apply_U(f: FunctionSpec, n: int, tol: float = DEFAULT_TOL) -> BernsteinForm:
 
 def apply_Utilde(f: FunctionSpec, n: int, tol: float = DEFAULT_TOL) -> BernsteinForm:
     """Utilde_n f = U_n f - (1/n) Dtilde U_n f as a degree-n Bernstein form."""
-    p = apply_U(f, n, tol)
-    return p - dtilde_form(p).scale(1.0 / n)
+    return utilde_from_u(apply_U(f, n, tol))
 
 
 def iterate_Utilde(f: FunctionSpec, n: int, times: int, tol: float = DEFAULT_TOL) -> BernsteinForm:

@@ -1,10 +1,11 @@
-"""The sup-norm grid engine: in-place basis, cached grid bases, exact confirmation,
-golden-section probes in lookahead batches.
+"""The sup-norm grid engine: in-place de Casteljau and basis, cached grid bases,
+exact confirmation, golden-section probes in lookahead batches.
 
-The oracles are the straightforward forms the engine replaces: the
-level-by-level basis recurrence, and a sup norm that evaluates its argument
-by de Casteljau on the whole grid and refines it by one-point probes.  Both
-are copied here, so the comparisons are bit for bit.
+The oracles are the straightforward forms the engine replaces: de Casteljau
+and the basis recurrence with fresh arrays at every level, and a sup norm
+that evaluates its argument by de Casteljau on the whole grid and refines it
+by one-point probes.  They are copied here, so the comparisons are bit for
+bit.
 """
 
 import math
@@ -29,7 +30,15 @@ from gsops.analysis import (
 )
 from gsops.basis import bernstein_matrix, tail_sums
 from gsops.catalog import catalog_names, get_function
-from gsops.operators import BernsteinForm, apply_U, apply_Utilde, dtilde_form, dtilde_of_function
+from gsops.operators import (
+    EVAL_WORKSPACE,
+    BernsteinForm,
+    _eval_chunk,
+    apply_U,
+    apply_Utilde,
+    dtilde_form,
+    dtilde_of_function,
+)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -47,6 +56,20 @@ def level_by_level_basis(n, xs):
             nxt[:, 1:j] = xs[:, None] * b[:, : j - 1] + one_minus[:, None] * b[:, 1:j]
         b = nxt
     return b
+
+
+def allocating_de_casteljau(coeffs, x):
+    """De Casteljau with fresh (points, level) arrays at every level."""
+    xs = np.asarray(x, dtype=float)
+    pts = np.atleast_1d(xs)
+    n = len(coeffs) - 1
+    b = np.broadcast_to(coeffs, (pts.size, n + 1)).copy()
+    t = pts[:, None]
+    s = 1.0 - t
+    for level in range(n, 0, -1):
+        b = s * b[:, :level] + t * b[:, 1 : level + 1]
+    out = b[:, 0]
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def full_grid_sup_norm(fn, grid_size=DEFAULT_GRID, probes=None):
@@ -93,6 +116,67 @@ def assert_same_as_full_pass(fn, oracle_fn, grid_size=DEFAULT_GRID):
     value, argmax = full_grid_sup_norm(oracle_fn, grid_size)
     assert est.value == value
     assert est.argmax == argmax
+
+
+# -- BernsteinForm.eval: in place, level by level --------------------------------------
+
+_EVAL_DEGREES = [0, 1, 2, 255, 256, 257, 600]
+
+
+@pytest.mark.parametrize("n", _EVAL_DEGREES)
+def test_eval_matches_allocating_de_casteljau(n):
+    rng = np.random.default_rng(n)
+    form = BernsteinForm(n, rng.normal(size=n + 1))
+    w = _eval_chunk(n)
+    for size in (0, 1, 2, 15, w - 1, w, w + 1, 2003):
+        xs = rng.uniform(0.0, 1.0, size)
+        out = form.eval(xs)
+        assert out.shape == (size,)
+        assert out.tobytes() == allocating_de_casteljau(form.coeffs, xs).tobytes()
+
+
+@pytest.mark.parametrize("n", _EVAL_DEGREES)
+def test_eval_scalar_and_shaped_points(n):
+    form = BernsteinForm(n, np.random.default_rng(n).normal(size=n + 1))
+    for x in (0.3, np.float64(0.3), np.array(0.3)):
+        value = form.eval(x)
+        assert type(value) is float
+        assert value == allocating_de_casteljau(form.coeffs, 0.3)
+    # the allocating loop takes 1-D points only; the kernel keeps any shape
+    grid = np.linspace(0.0, 1.0, 12)
+    out = form.eval(grid.reshape(3, 4))
+    assert out.shape == (3, 4)
+    assert out.tobytes() == allocating_de_casteljau(form.coeffs, grid).tobytes()
+    assert form.eval([0.25, 0.75]).tobytes() == allocating_de_casteljau(form.coeffs, [0.25, 0.75]).tobytes()
+
+
+@pytest.mark.parametrize("n", _EVAL_DEGREES)
+def test_eval_endpoints_are_the_end_coefficients(n):
+    form = BernsteinForm(n, np.random.default_rng(n).normal(size=n + 1))
+    xs = np.tile([0.0, 0.5, 1.0], 300)  # endpoints in every chunk
+    out = form.eval(xs)
+    assert np.all(out[0::3] == form.coeffs[0])
+    assert np.all(out[2::3] == form.coeffs[n])
+    assert form.eval(0.0) == form.coeffs[0]
+    assert form.eval(1.0) == form.coeffs[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 600])
+def test_eval_nan_coefficient_propagates(n):
+    coeffs = np.random.default_rng(n).normal(size=n + 1)
+    coeffs[n // 2] = np.nan
+    xs = np.linspace(0.0, 1.0, 2003)
+    out = BernsteinForm(n, coeffs).eval(xs)
+    # 0 * nan is nan, so even the endpoints see it
+    assert np.all(np.isnan(out))
+    assert np.array_equal(out, allocating_de_casteljau(coeffs, xs), equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 255, 1000, EVAL_WORKSPACE - 1])
+def test_eval_workspace_is_bounded(n):
+    w = _eval_chunk(n)
+    assert 1 <= w <= 256
+    assert (n + 1) * w <= EVAL_WORKSPACE
 
 
 # -- bernstein_matrix ----------------------------------------------------------------
