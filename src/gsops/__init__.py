@@ -35,7 +35,6 @@ from .operators import (
     apply_Utilde,
     dtilde_form,
     dtilde_of_function,
-    iterate_Utilde,
 )
 from .quadrature import QuadratureRule, gauss_legendre, u_coefficients_numeric
 from .analysis import (

@@ -117,12 +117,14 @@ class SupNormEstimate:
 
 @dataclass(frozen=True)
 class KfSandwich:
-    """Two-sided enclosure of the K-functional at t = 1/n^2.
+    """Two-sided estimate of the K-functional at t = 1/n^2.
 
-    ``upper`` is achieved by a concrete admissible candidate (recorded in
-    ``candidate_id``), hence a true upper bound of the infimum; ``err`` is
-    the operator error ||Utilde_n f - f||, and ``lower`` = err / (1 + sqrt 3)
-    is a true lower bound by the direct theorem.
+    ``err`` is the operator error ||Utilde_n f - f||, and ``lower`` =
+    err / (1 + sqrt 3) is a lower bound of K by the direct theorem, up to
+    rounding.  ``upper`` is the cost ||f - g|| + t ||Dtilde^2 g|| of the best
+    concrete candidate g (recorded in ``candidate_id``).  Its two norms are
+    grid estimates, which sit at or below the true sup norms, so ``upper``
+    estimates an upper bound of K but is not certified as one.
     """
 
     t: float
@@ -628,14 +630,10 @@ def check_bn_decomposition(n: int, grid_size: int = DEFAULT_GRID) -> list[Inequa
     ]
 
 
-def _candidate_norms(f: FunctionSpec, g: BernsteinForm, grid_size: int) -> tuple[float, float]:
-    """(||g - f||, ||Dtilde^2 g||) for a K-functional candidate g."""
-    return distance(g, f, grid_size), sup_norm(dtilde_form(dtilde_form(g)), grid_size).value
-
-
 # Memo of one sweep.  Sweeps pass one plain dict per function to the sandwich
 # checks, so that each operator output and its norms are computed once per
-# sweep; the keys carry every argument the value depends on.
+# sweep; the keys carry every argument the value depends on, the function
+# spec itself among them, so two specs that share a name never share a value.
 
 
 def _memoized(memo: dict, key: tuple, compute: Callable):
@@ -645,31 +643,30 @@ def _memoized(memo: dict, key: tuple, compute: Callable):
 
 
 def _utilde(f: FunctionSpec, m: int, tol: float, memo: dict) -> BernsteinForm:
-    return _memoized(memo, ("Utilde", f.name, m, tol), lambda: apply_Utilde(f, m, tol))
-
-
-def _utilde3(f: FunctionSpec, m: int, tol: float, memo: dict) -> BernsteinForm:
-    """Utilde_m^3 f from the memoized Utilde_m f, in iterate_Utilde's steps."""
-
-    def build() -> BernsteinForm:
-        p = _utilde(f, m, tol, memo)
-        for _ in range(2):
-            p = apply_Utilde_to_form(p, m)
-        return p
-
-    return _memoized(memo, ("Utilde3", f.name, m, tol), build)
+    return _memoized(memo, ("Utilde", f, m, tol), lambda: apply_Utilde(f, m, tol))
 
 
 def _utilde_error(f: FunctionSpec, m: int, grid_size: int, tol: float, memo: dict) -> float:
     """||Utilde_m f - f||."""
-    key = ("error", f.name, m, grid_size, tol)
+    key = ("error", f, m, grid_size, tol)
     return _memoized(memo, key, lambda: distance(_utilde(f, m, tol, memo), f, grid_size))
 
 
 def _iterate_norms(f: FunctionSpec, m: int, grid_size: int, tol: float, memo: dict) -> tuple[float, float]:
-    """_candidate_norms of the candidate Utilde_m^3 f."""
-    key = ("iterate_norms", f.name, m, grid_size, tol)
-    return _memoized(memo, key, lambda: _candidate_norms(f, _utilde3(f, m, tol, memo), grid_size))
+    """(||g - f||, ||Dtilde^2 g||) for the K-functional candidate g = Utilde_m^3 f.
+
+    g is the memoized Utilde_m f with Utilde_m applied twice more to its
+    Bernstein form: those rounds use the exact coefficient-integral matrix in
+    float arithmetic instead of compounding quadrature error.
+    """
+
+    def norms() -> tuple[float, float]:
+        g = _utilde(f, m, tol, memo)
+        for _ in range(2):
+            g = apply_Utilde_to_form(g, m)
+        return distance(g, f, grid_size), sup_norm(dtilde_form(dtilde_form(g)), grid_size).value
+
+    return _memoized(memo, ("iterate_norms", f, m, grid_size, tol), norms)
 
 
 def kfunctional_sandwich(
@@ -679,14 +676,14 @@ def kfunctional_sandwich(
     tol: float = DEFAULT_TOL,
     memo: dict | None = None,
 ) -> KfSandwich:
-    """Certified two-sided estimate of K(f, 1/n^2).
+    """Two-sided estimate of K(f, 1/n^2), with the guarantees of KfSandwich.
 
-    The upper bound minimizes ||f - g|| + t ||Dtilde^2 g|| over the concrete
+    The upper side minimizes ||f - g|| + t ||Dtilde^2 g|| over the concrete
     candidates g = Utilde_m^3 f for m = n, 2n, 4n, 8n plus g = f itself
     when f is smooth enough; second derivatives of candidates always come
     from the exact coefficient map, never from numerical differentiation.
     The operator error ||Utilde_n f - f|| is kept as ``err``; divided by
-    1 + sqrt(3) it is the lower bound.
+    1 + sqrt(3) it is the lower side.
 
     ``memo``, a dict kept by the caller for one function f, holds the
     operator outputs and norms for later calls at other n; without it they
@@ -710,7 +707,7 @@ def kfunctional_sandwich(
         if cost < best_cost:
             best_cost, best_id = cost, f"utilde3_m{m}"
     if f.smoothness.w20 and f.smoothness.dtilde_w2:
-        d2f = _memoized(memo, ("dtilde2_norm", f.name, grid_size), lambda: dtilde_sup_norm(f, 2, grid_size))
+        d2f = _memoized(memo, ("dtilde2_norm", f, grid_size), lambda: dtilde_sup_norm(f, 2, grid_size))
         cost = t * d2f
         if cost < best_cost:
             best_cost, best_id = cost, "f_itself"
@@ -728,10 +725,12 @@ def check_direct(
 ) -> list[InequalityReport]:
     """The sandwich and the direct theorem, both from one sandwich.
 
-    Reports kf_sandwich (lower <= upper) and direct,
-    ||Utilde_n f - f|| <= (1 + sqrt 3) K(f, 1/n^2).  Uses the sandwich upper
-    bound in place of K, which only strengthens the inequality being verified.
-    ``memo`` is kfunctional_sandwich's.
+    Reports kf_sandwich (lower <= upper) and direct, which checks
+    ||Utilde_n f - f|| <= (1 + sqrt 3) upper.  The direct theorem bounds the
+    error by (1 + sqrt 3) K(f, 1/n^2), and K <= upper, so the row checks a
+    consequence of the theorem, a weaker inequality than the theorem itself.
+    Both rows compare the same ratio, err / ((1 + sqrt 3) upper).  ``memo``
+    is kfunctional_sandwich's.
     """
     sw = kfunctional_sandwich(f, n, grid_size, tol, memo)
     return [

@@ -305,9 +305,11 @@ def parse_points(spec: str) -> np.ndarray:
 def cmd_eval(cfg: RunConfig) -> list[dict]:
     """Evaluate a serialized Bernstein form ({"degree": n, "coeffs": [...]})."""
     with open(cfg.form_path, encoding="utf-8") as fh:
-        form = BernsteinForm.from_json_dict(json.load(fh))
-    if not np.all(np.isfinite(form.coeffs)):
-        raise ValueError("the form has a non-finite coefficient")
+        try:
+            document = json.load(fh)
+        except RecursionError:
+            raise ValueError("the form document is nested too deeply") from None
+    form = BernsteinForm.from_json_dict(document)
     xs = parse_points(cfg.points)
     values = form.eval(xs)
     return [{"x": float(x), "value": float(v)} for x, v in zip(xs, values)]

@@ -1,4 +1,4 @@
-"""Floating-point application of U_n, Utilde_n, Dtilde and their iterates.
+"""Floating-point application of U_n, Utilde_n and powers of Dtilde.
 
 Operator outputs are closed-form polynomials held as BernsteinForm (degree-n
 Bernstein coefficients, de Casteljau evaluation).  Dtilde acts as a closed
@@ -14,6 +14,7 @@ changing any result (fixed summation orders throughout).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,7 +35,6 @@ __all__ = [
     "apply_U_to_form",
     "apply_Utilde_to_form",
     "utilde_from_u",
-    "iterate_Utilde",
     "dtilde_power_terms",
     "dtilde_of_function",
 ]
@@ -119,8 +119,21 @@ class BernsteinForm:
         return {"degree": self.n, "coeffs": [float(c) for c in self.coeffs]}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "BernsteinForm":
-        return cls(int(data["degree"]), np.asarray(data["coeffs"], dtype=float))
+    def from_json_dict(cls, data) -> "BernsteinForm":
+        """The form of a parsed {"degree": n, "coeffs": [...]} document, or ValueError.
+
+        n is an int >= 0 and coeffs a list of n + 1 finite numbers; bools are neither.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("a form must be an object with a degree and coeffs")
+        n, coeffs = data.get("degree"), data.get("coeffs")
+        if type(n) is not int or n < 0:
+            raise ValueError("the form's degree must be an integer >= 0")
+        if not isinstance(coeffs, list) or len(coeffs) != n + 1:
+            raise ValueError(f"the form needs a list of {n + 1} coefficients")
+        if any(type(c) not in (int, float) or not abs(c) <= sys.float_info.max for c in coeffs):
+            raise ValueError("the form has a non-finite coefficient or one that is not a number")
+        return cls(n, np.array(coeffs, dtype=float))
 
 
 def dtilde_coefficient_map(coeffs: np.ndarray) -> np.ndarray:
@@ -209,21 +222,6 @@ def apply_U(f: FunctionSpec, n: int, tol: float = DEFAULT_TOL) -> BernsteinForm:
 def apply_Utilde(f: FunctionSpec, n: int, tol: float = DEFAULT_TOL) -> BernsteinForm:
     """Utilde_n f = U_n f - (1/n) Dtilde U_n f as a degree-n Bernstein form."""
     return utilde_from_u(apply_U(f, n, tol))
-
-
-def iterate_Utilde(f: FunctionSpec, n: int, times: int, tol: float = DEFAULT_TOL) -> BernsteinForm:
-    """Utilde_n applied ``times`` times.
-
-    After the first application the operand is a known degree-n polynomial,
-    so later rounds use the exact coefficient-integral matrix in float
-    arithmetic instead of compounding quadrature error.
-    """
-    if times < 1:
-        raise ValueError("times must be >= 1")
-    p = apply_Utilde(f, n, tol)
-    for _ in range(times - 1):
-        p = apply_Utilde_to_form(p, n)
-    return p
 
 
 @lru_cache(maxsize=None)

@@ -31,7 +31,7 @@ from gsops.analysis import (
     sup_norm,
 )
 from gsops.basis import tail_sums
-from gsops.catalog import catalog_names, get_function
+from gsops.catalog import catalog_names, get_function, polynomial_function
 from gsops.errors import PreconditionError
 from gsops.exactpoly import ExactBernsteinForm, RationalPoly, dtilde_exact
 from gsops.operators import (
@@ -301,14 +301,14 @@ def test_sandwich_t2_n2_exact_tie_at_one_quarter():
     # Utilde_m reproduces t^2 up to rounding, so at t = 1/4 the candidates
     # Utilde_2^3 f, Utilde_4^3 f and f itself all cost ||Dtilde^2 t^2|| / 4 = 1/4
     # in exact arithmetic; the last bit picks the winner shown in the note
-    from gsops.analysis import DEFAULT_GRID, _candidate_norms
-    from gsops.operators import iterate_Utilde
+    from gsops.analysis import DEFAULT_GRID, _iterate_norms
+    from gsops.operators import DEFAULT_TOL
 
     f = get_function("t2")
     t = 0.25
     costs = {}
     for m in (2, 4):
-        dist, d2 = _candidate_norms(f, iterate_Utilde(f, m, 3), DEFAULT_GRID)
+        dist, d2 = _iterate_norms(f, m, DEFAULT_GRID, DEFAULT_TOL, {})
         costs[f"utilde3_m{m}"] = dist + t * d2
     costs["f_itself"] = t * dtilde_sup_norm(f, 2)
     for cost in costs.values():
@@ -321,8 +321,8 @@ def test_sandwich_t2_n2_exact_tie_at_one_quarter():
 def test_sandwich_memo_shared_across_n_changes_nothing(name):
     # a sweep hands one dict to every n of a function; each call must report
     # what a call with a fresh memo reports, bit for bit
-    from gsops.analysis import _utilde3
-    from gsops.operators import DEFAULT_TOL, iterate_Utilde
+    from gsops.analysis import DEFAULT_GRID, _iterate_norms
+    from gsops.operators import DEFAULT_TOL, apply_Utilde_to_form
 
     f = get_function(name)
     memo: dict = {}
@@ -330,7 +330,21 @@ def test_sandwich_memo_shared_across_n_changes_nothing(name):
         assert check_converse(f, n, 32 * n, memo=memo) == check_converse(f, n, 32 * n)
         assert check_direct(f, n, memo=memo) == check_direct(f, n)
     for m in (2, 4, 8):
-        assert np.array_equal(_utilde3(f, m, DEFAULT_TOL, memo).coeffs, iterate_Utilde(f, m, 3).coeffs)
+        # the memoized candidate norms are those of Utilde_m^3 f built afresh
+        g = apply_Utilde_to_form(apply_Utilde_to_form(apply_Utilde(f, m), m), m)
+        fresh = (distance(g, f), sup_norm(dtilde_form(dtilde_form(g))).value)
+        assert _iterate_norms(f, m, DEFAULT_GRID, DEFAULT_TOL, memo) == fresh
+
+
+def test_sandwich_memo_keeps_specs_with_one_name_apart():
+    # a memo is keyed by the function spec, so two specs that share a name
+    # never read each other's operator outputs or norms
+    square = polynomial_function("q", [0, 0, 1])
+    cube = polynomial_function("q", [0, 0, 0, 1])
+    memo: dict = {}
+    assert check_direct(square, 4, memo=memo) == check_direct(square, 4)
+    assert check_direct(cube, 4, memo=memo) == check_direct(cube, 4)
+    assert check_converse(cube, 4, 128, memo=memo) == check_converse(cube, 4, 128)
 
 
 def test_sandwich_t2_n4_lower_value():

@@ -1,7 +1,9 @@
 """Tests for the command-line front end: exit codes, formats, determinism."""
 
+import ast
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -379,6 +381,43 @@ def test_eval_non_finite_coefficient_is_usage_error(tmp_path, capsys):
     assert "non-finite coefficient" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        "[1, 2]",
+        '{"degree": null, "coeffs": [0.0]}',
+        '{"degree": 1, "coeffs": {"a": 1}}',
+        '{"degree": 2.5, "coeffs": [0.0, 1.0, 2.0]}',
+        '{"degree": true, "coeffs": [0.0, 1.0]}',
+        '{"degree": -1, "coeffs": []}',
+        '{"degree": 1, "coeffs": [0.0]}',
+        '{"degree": 1, "coeffs": ["0", "1"]}',
+        '{"degree": 1, "coeffs": [false, true]}',
+        '{"degree": 1, "coeffs": [0.0, 1e999999]}',
+        '{"degree": 1, "coeffs": [0, 1' + "0" * 400 + "]}",
+        '{"coeffs": [0.0, 1.0]}',
+        "[" * 100_000 + "]" * 100_000,
+    ],
+    ids=[
+        "list", "null_degree", "object_coeffs", "float_degree", "bool_degree", "negative_degree",
+        "short_coeffs", "string_coeffs", "bool_coeffs", "inf_coeff", "huge_int_coeff", "no_degree",
+        "deep_nesting",
+    ],
+)
+def test_eval_malformed_form_is_usage_error(tmp_path, capsys, document):
+    # a form is an object with an integer degree n >= 0 (not a bool) and a
+    # list of n + 1 finite numbers (not bools, not strings)
+    form_path = tmp_path / "f.json"
+    form_path.write_text(document, encoding="utf-8")
+    code, text = run_cli(tmp_path, "eval", "--form", str(form_path), "--points", "0,0.5,1")
+    assert code == EXIT_USAGE
+    assert text == ""
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("gsops: configuration error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # -- layering: the CLI parses, guards, sorts and renders -----------------------------------
 
 
@@ -392,6 +431,44 @@ def test_cli_defines_no_check():
     assert bound == []
     source = Path(gsops.cli.__file__).read_text(encoding="utf-8")
     assert "InequalityReport(" not in source
+
+
+def _names_used(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names read in tree as bare names or attributes, outside the subtree skip."""
+    used: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return used
+
+
+def test_every_public_function_has_a_caller_in_src():
+    # a public function that only tests reach is a deletion candidate; the
+    # package re-exports in __init__.py and the __all__ strings are not callers
+    package = Path(gsops.cli.__file__).parent
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    used = {stem: _names_used(tree) for stem, tree in trees.items()}
+    uncalled = []
+    for module in ("basis", "exactpoly", "quadrature", "catalog", "operators", "analysis"):
+        public = set(importlib.import_module(f"gsops.{module}").__all__)
+        for node in trees[module].body:
+            if not isinstance(node, ast.FunctionDef) or node.name not in public:
+                continue
+            used_elsewhere = any(node.name in names for stem, names in used.items() if stem != module)
+            if not used_elsewhere and node.name not in _names_used(trees[module], skip=node):
+                uncalled.append(f"{module}.{node.name}")
+    assert uncalled == []
 
 
 # -- byte identity with the recorded reference ----------------------------------------

@@ -26,7 +26,6 @@ from gsops.operators import (
     dtilde_form,
     dtilde_of_function,
     dtilde_power_terms,
-    iterate_Utilde,
     u_coefficient_matrix,
 )
 
@@ -226,17 +225,10 @@ def test_commutation_float(name, n):
 # -- iteration --------------------------------------------------------------------
 
 
-def test_iterate_once_equals_apply():
-    f = get_function("t3")
-    a = iterate_Utilde(f, 5, 1)
-    b = apply_Utilde(f, 5)
-    assert a.coeffs == pytest.approx(b.coeffs, abs=0.0)
-
-
 def test_iterate_matches_exact_composition():
     # float Utilde_2(Utilde_2 t^2) against the exact-engine composition
     f = get_function("t2")
-    got = iterate_Utilde(f, 2, 2)
+    got = apply_Utilde_to_form(apply_Utilde(f, 2), 2)
     inner = apply_Utilde_exact(T2, 2).to_poly()
     outer = apply_Utilde_exact(inner, 2).to_poly()
     assert sup_on_grid(lambda t: got.eval(t) - outer.eval_float(t)) <= 1e-10
@@ -246,15 +238,10 @@ def test_iterate_matches_exact_composition():
 @pytest.mark.parametrize("n", [3, 8])
 def test_triple_iterate_norm_bound(name, n):
     f = get_function(name)
-    p = iterate_Utilde(f, n, 3)
+    p = apply_Utilde_to_form(apply_Utilde_to_form(apply_Utilde(f, n), n), n)
     lhs = sup_on_grid(p.eval)
     rhs = 3.0 * math.sqrt(3.0) * sup_on_grid(f.eval)
     assert lhs <= rhs * (1 + 1e-9) + 1e-12
-
-
-def test_iterate_validates_times():
-    with pytest.raises(ValueError):
-        iterate_Utilde(get_function("t2"), 3, 0)
 
 
 # -- form-operand path -------------------------------------------------------------
