@@ -11,8 +11,8 @@ candidate plus the direct-theorem lower bound), the strong-converse check at
 two operator scales, and the errors and log-log slope of convergence rates.
 Every report the CLI prints is built here.
 
-Sweeps over (function, n) pairs are independent pure computations; reports
-can be produced concurrently and merged by key without affecting values.
+Reports of (function, n) pairs can be produced concurrently, with or
+without a shared memo, and merged by key without affecting values.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .operators import (
     u_coefficient_matrix,
     utilde_from_u,
 )
+from .quadrature import u_coefficients_numeric
 
 __all__ = [
     "SQRT3",
@@ -69,6 +70,7 @@ __all__ = [
     "bernstein_probe_max_ratio",
     "check_bernstein_probes",
     "check_bn_decomposition",
+    "sweep_memo",
     "kfunctional_sandwich",
     "check_direct",
     "check_converse",
@@ -630,10 +632,16 @@ def check_bn_decomposition(n: int, grid_size: int = DEFAULT_GRID) -> list[Inequa
     ]
 
 
-# Memo of one sweep.  Sweeps pass one plain dict per function to the sandwich
-# checks, so that each operator output and its norms are computed once per
-# sweep; the keys carry every argument the value depends on, the function
-# spec itself among them, so two specs that share a name never share a value.
+# Memo of one sweep, passed to the sandwich checks of all its functions so
+# that each operator output and its norms are computed once per sweep.  The
+# keys carry every argument the value depends on, the function spec among
+# them, so two specs that share a name never share a value; the "quadrature"
+# entry lists the sweep's functions that take the quadrature path.
+
+
+def sweep_memo(fs: Sequence[FunctionSpec]) -> dict:
+    """A fresh memo for the sandwich checks of a sweep over the functions fs."""
+    return {"quadrature": tuple(dict.fromkeys(f for f in fs if f.poly is None))}
 
 
 def _memoized(memo: dict, key: tuple, compute: Callable):
@@ -643,6 +651,16 @@ def _memoized(memo: dict, key: tuple, compute: Callable):
 
 
 def _utilde(f: FunctionSpec, m: int, tol: float, memo: dict) -> BernsteinForm:
+    """Utilde_m f; a miss for a quadrature function of the sweep computes U_m of
+    all of them that lack it in one call, storing none that fails."""
+    if ("Utilde", f, m, tol) not in memo and f in memo.get("quadrature", ()):
+        lacking = [g for g in memo["quadrature"] if ("Utilde", g, m, tol) not in memo]
+        coeffs = dict(zip(lacking, u_coefficients_numeric(lacking, m, tol)))
+        for g, u in coeffs.items():
+            if not isinstance(u, Exception):
+                memo["Utilde", g, m, tol] = utilde_from_u(BernsteinForm(m, u))
+        if isinstance(coeffs[f], Exception):
+            raise coeffs[f]
     return _memoized(memo, ("Utilde", f, m, tol), lambda: apply_Utilde(f, m, tol))
 
 
@@ -685,8 +703,8 @@ def kfunctional_sandwich(
     The operator error ||Utilde_n f - f|| is kept as ``err``; divided by
     1 + sqrt(3) it is the lower side.
 
-    ``memo``, a dict kept by the caller for one function f, holds the
-    operator outputs and norms for later calls at other n; without it they
+    ``memo``, a sweep_memo the caller keeps for every f and n of a sweep,
+    holds the operator outputs and norms for later calls; without it they
     are shared within this call only.
 
     Candidates whose costs tie in exact arithmetic (at t2, n = 2 the

@@ -34,8 +34,13 @@ __all__ = [
     "phi_big",
 ]
 
-#: Points per chunk of the recurrence in bernstein_matrix.
-_BASIS_CHUNK = 256
+#: Floats in each work array of the basis and de Casteljau kernels (256 KiB).
+EVAL_WORKSPACE = 2**15
+
+
+def _eval_chunk(n: int) -> int:
+    """Points per kernel chunk at degree n: at most 256, and (n+1) of them fit the workspace."""
+    return max(1, min(256, EVAL_WORKSPACE // (n + 1)))
 
 
 def bernstein_matrix(n: int, xs) -> np.ndarray:
@@ -44,37 +49,39 @@ def bernstein_matrix(n: int, xs) -> np.ndarray:
     Computed by the degree-raising recurrence
     P_{j,k} = x P_{j-1,k-1} + (1-x) P_{j-1,k}, vectorized over the points.
     Never forms binomial coefficients, so there is no overflow for any n and
-    no loss from huge intermediate products.
+    no loss from huge intermediate products.  NaN points are rejected.
 
-    The points are taken in chunks; each chunk runs every level in place in a
-    small (n+1, chunk) work array, whose rows are contiguous, and is then
-    copied into its rows of the result.  Each entry is rounded exactly as in
-    the level-by-level form, and the memory beyond the result is two arrays
-    of (n+1, chunk).
+    The points are taken in chunks of w = _eval_chunk(n).  A chunk runs level
+    by level, in place, over flat arrays in which row k holds P_{j,k} at each
+    of its points, so level j is three contiguous ufunc calls on prefixes of
+    length j * w and a copy of the new top row.  Every entry is still
+    x P_{j-1,k-1} + (1-x) P_{j-1,k}, rounded as in the level-by-level form.
+    Each of the four work arrays holds at most EVAL_WORKSPACE floats.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
+    if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):
         raise ValueError("evaluation points must lie in [0, 1]")
     out = np.empty((xs.size, n + 1))
-    width = min(_BASIS_CHUNK, xs.size)
-    work = np.empty((n + 1, width))
-    scratch = np.empty((max(n - 1, 0), width))
-    for start in range(0, xs.size, _BASIS_CHUNK):
-        x = xs[start : start + _BASIS_CHUNK]
-        one_minus = 1.0 - x
-        b = work[:, : x.size]
-        b[0] = 1.0
-        for j in range(1, n + 1):
-            np.multiply(x, b[j - 1], out=b[j])
-            if j > 1:
-                left = np.multiply(x, b[: j - 1], out=scratch[: j - 1, : x.size])
-                interior = b[1:j]
-                interior *= one_minus
-                interior += left
-            b[0] *= one_minus
-        out[start : start + x.size] = b.T
+    width = max(1, min(_eval_chunk(n), xs.size))
+    b_buf = np.empty((n + 1) * width)
+    x_buf, s_buf, tmp = np.empty((3, n * width))
+    for start in range(0, xs.size, width):
+        x = xs[start : start + width]
+        w = x.size
+        b = b_buf[: (n + 1) * w]
+        X, S = x_buf[: n * w], s_buf[: n * w]
+        X.reshape(n, w)[:] = x
+        np.subtract(1.0, X, out=S)
+        b[:w] = 1.0
+        for jw in range(w, n * w + 1, w):
+            head, prod = b[:jw], tmp[:jw]
+            np.multiply(X[:jw], head, out=prod)
+            np.multiply(S[:jw], head, out=head)
+            np.add(b[w:jw], prod[: jw - w], out=b[w:jw])
+            b[jw : jw + w] = prod[jw - w :]
+        out[start : start + w] = b.reshape(n + 1, w).T
     return out
 
 

@@ -41,6 +41,7 @@ from .analysis import (
     dtilde_sup_norm,
     loglog_slope,
     rate_errors,
+    sweep_memo,
 )
 
 EXIT_OK = 0
@@ -249,17 +250,17 @@ def cmd_norms(cfg: RunConfig) -> list[dict]:
 def _sweep(cfg: RunConfig, name: str, check, ell_mult=None) -> list[dict]:
     """Guarded rows of ``check(f, n, ell, memo)``, f outer and n inner.
 
-    ell = ell_mult * n, or None.  ``memo`` is one dict per function, shared
-    by its ns, so that the sandwich checks compute each operator output and
-    its norms once per sweep.
+    ell = ell_mult * n, or None.  ``memo`` is one sweep_memo, shared by every
+    f and n, so that the sandwich checks compute each operator output and its
+    norms once per sweep, and U_m of all quadrature functions in one call.
     """
     rows: list[dict] = []
-    for fname in cfg.fns:
-        f = get_function(fname)
-        memo: dict = {}
+    fs = [get_function(fname) for fname in cfg.fns]
+    memo = sweep_memo(fs)
+    for f in fs:
         for n in cfg.n_list:
             ell = None if ell_mult is None else ell_mult * n
-            _guarded(rows, name, fname, n, lambda: check(f, n, ell, memo), ell=ell)
+            _guarded(rows, name, f.name, n, lambda: check(f, n, ell, memo), ell=ell)
     return rows
 
 

@@ -20,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .basis import EVAL_WORKSPACE, _eval_chunk
 from .catalog import MAX_DERIVATIVE_ORDER, FunctionSpec
 from .exactpoly import PHI, RationalPoly, u_coefficients_exact
 from .quadrature import u_coefficients_numeric
@@ -40,13 +41,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-#: Floats in each work array of BernsteinForm.eval (256 KiB).
-EVAL_WORKSPACE = 2**15
-
-
-def _eval_chunk(n: int) -> int:
-    """Points per de Casteljau chunk at degree n: at most 256, and (n+1) of them fit the workspace."""
-    return max(1, min(256, EVAL_WORKSPACE // (n + 1)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -95,50 +95,70 @@ def _panel_points(rule: QuadratureRule, panels: int) -> tuple[np.ndarray, np.nda
     return pts, wts
 
 
-def _interior_coefficients(
-    f: "FunctionSpec", n: int, rule: QuadratureRule, panels: int
-) -> np.ndarray:
-    pts, wts = _panel_points(rule, panels)
-    vals = np.asarray(f.eval(pts), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise IntegrationError(f"function {f.name!r} non-finite at a quadrature node")
-    basis = bernstein_matrix(n - 2, pts)
-    return (n - 1) * (basis.T @ (wts * vals))
-
-
-def u_coefficients_numeric(f: "FunctionSpec", n: int, target_tol: float) -> np.ndarray:
-    """The coefficients u_{n,k}(f) by quadrature, endpoints taken exactly.
-
-    A fixed 24-point rule with panel doubling until two successive sweeps of
-    all interior coefficients agree to ``target_tol`` in max norm.  (apply_U
-    takes polynomials by the exact path.)
-
-    Raises ToleranceError (carrying the best estimate) if 2**10 panels are
-    not enough.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+def _refinement(f: "FunctionSpec", n: int, target_tol: float):
+    """u_{n,k}(f) as a generator, sent (points, weights, basis) of 1, 2, 4, ... panels in turn."""
     u0 = float(f.eval(0.0))
     un = float(f.eval(1.0))
     if n == 1:
         return np.array([u0, un])
-
-    rule = gauss_legendre(24)
-
     prev: np.ndarray | None = None
     achieved = math.inf
-    panels = 1
-    while panels <= MAX_PANELS:
-        interior = _interior_coefficients(f, n, rule, panels)
+    for _ in range(MAX_PANELS.bit_length()):
+        pts, wts, basis = yield
+        vals = np.asarray(f.eval(pts), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise IntegrationError(f"function {f.name!r} non-finite at a quadrature node")
+        interior = (n - 1) * (basis.T @ (wts * vals))
+        del basis  # so that no frame holds it while the next one is built
         if prev is not None:
             achieved = float(np.max(np.abs(interior - prev)))
             if achieved < target_tol:
                 return np.concatenate(([u0], interior, [un]))
         prev = interior
-        panels *= 2
     raise ToleranceError(
         f"u_{{{n},k}}({f.name}) did not reach tol={target_tol:g} within {MAX_PANELS} panels "
         f"(last change {achieved:.3e})",
         best=np.concatenate(([u0], prev, [un])),
         achieved=achieved,
     )
+
+
+def u_coefficients_numeric(fs: "FunctionSpec | list | tuple", n: int, target_tol: float):
+    """The coefficients u_{n,k}(f) by quadrature, endpoints taken exactly.
+
+    A fixed 24-point rule with panel doubling until two successive sweeps of
+    all interior coefficients agree to ``target_tol`` in max norm.  (apply_U
+    takes polynomials by the exact path.)  Raises ToleranceError (carrying
+    the best estimate) if 2**10 panels are not enough.
+
+    For a list or tuple ``fs`` it returns a list with each function's
+    coefficients or error.  The functions share each panel count's basis,
+    and each closes where it would alone, bit for bit as its lone call.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    lone = not isinstance(fs, (list, tuple))
+    pending = {i: _refinement(f, n, target_tol) for i, f in enumerate([fs] if lone else fs)}
+    results: list = [None] * len(pending)
+
+    def advance(sweep) -> None:
+        for i, gen in list(pending.items()):
+            try:
+                gen.send(sweep)
+                continue
+            except StopIteration as stop:
+                results[i] = stop.value
+            except Exception as exc:
+                results[i] = exc
+            del pending[i]
+
+    advance(None)
+    rule = gauss_legendre(24)
+    panels = 1
+    while pending:
+        pts, wts = _panel_points(rule, panels)
+        advance((pts, wts, bernstein_matrix(n - 2, pts)))
+        panels *= 2
+    if lone and isinstance(results[0], Exception):
+        raise results[0]
+    return results[0] if lone else results

@@ -319,16 +319,20 @@ def test_sandwich_t2_n2_exact_tie_at_one_quarter():
 
 @pytest.mark.parametrize("name", ["t2", "exp", "abs52"])
 def test_sandwich_memo_shared_across_n_changes_nothing(name):
-    # a sweep hands one dict to every n of a function; each call must report
-    # what a call with a fresh memo reports, bit for bit
-    from gsops.analysis import DEFAULT_GRID, _iterate_norms
+    # a sweep hands one sweep_memo to every f and n; each call must report
+    # what a call with a fresh memo reports, bit for bit, whichever function
+    # of the sweep misses first and so fills the memo for its siblings
+    from gsops.analysis import DEFAULT_GRID, _iterate_norms, sweep_memo
     from gsops.operators import DEFAULT_TOL, apply_Utilde_to_form
 
     f = get_function(name)
-    memo: dict = {}
+    siblings = [get_function(other) for other in ("t2", "exp", "abs52") if other != name]
+    memo = sweep_memo([f, *siblings])
     for n in (2, 4):
         assert check_converse(f, n, 32 * n, memo=memo) == check_converse(f, n, 32 * n)
         assert check_direct(f, n, memo=memo) == check_direct(f, n)
+    for g in siblings:
+        assert check_converse(g, 2, 64, memo=memo) == check_converse(g, 2, 64, memo={})
     for m in (2, 4, 8):
         # the memoized candidate norms are those of Utilde_m^3 f built afresh
         g = apply_Utilde_to_form(apply_Utilde_to_form(apply_Utilde(f, m), m), m)

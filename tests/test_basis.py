@@ -172,6 +172,13 @@ def test_bernstein_domain_errors():
         bernstein_matrix(-1, [0.5])
 
 
+@pytest.mark.parametrize("xs", [[0.2, math.nan], [math.nan], [0.0, math.nan, 1.0]])
+def test_bernstein_matrix_rejects_nan_points(xs):
+    # a NaN point is not in [0, 1]; min/max comparisons with NaN are all false
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        bernstein_matrix(3, xs)
+
+
 @given(st.integers(min_value=0, max_value=80), st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=60, deadline=None)
 def test_basis_nonnegative_and_normalized(n, x):

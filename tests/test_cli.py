@@ -346,6 +346,22 @@ def test_unreachable_tolerance_inside_a_check_is_usage_error(argv, capsys):
     assert "Traceback" not in err
 
 
+def test_unreachable_tolerance_in_a_shared_quadrature_is_the_first_functions(capsys):
+    # exp and abs52 share each quadrature basis; the sweep still stops where
+    # exp alone fails (m = 4 at n = 2), with the line of exp's lone call
+    from gsops.catalog import get_function
+    from gsops.errors import ToleranceError
+    from gsops.quadrature import u_coefficients_numeric
+
+    with pytest.raises(ToleranceError) as lone:
+        u_coefficients_numeric(get_function("exp"), 4, 1e-300)
+    assert main(["kfunc", "--fns", "exp,abs52", "--tol", "1e-300"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"gsops: ToleranceError: {lone.value}\n"
+    assert err.startswith("gsops: ToleranceError: u_{4,k}(exp) did not reach tol=1e-300")
+
+
 def test_oversized_sizes_are_usage_errors(tmp_path, capsys):
     # a 10^15-point grid asks numpy for 7 PiB, which fails at once without
     # touching memory; MemoryError is a usage error, not a violated check
@@ -555,6 +571,22 @@ def test_traced_benchmark_pass_runs(tmp_path):
     # probes), and the sweep applies each operator once
     assert counters["operators.eval.point_calls"] < 100
     assert counters.get("operators.apply.repeats", 0) == 0
+
+
+def test_traced_sweep_builds_one_quadrature_basis_per_panel_count(tmp_path):
+    # exp and abs52 share the basis of each (m, panel count), 840 nodes in
+    # all, where a basis per function counts 1,200; no nodes at all would
+    # mean the shared loop no longer runs inside the traced
+    # u_coefficients_numeric
+    spans = tmp_path / "spans.json"
+    argv = ["kfunc", "--fns", "exp,abs52", "--n", "2,4", "--seed", "1"]
+    proc = subprocess.run(
+        [sys.executable, "perfbench/child.py", "trace", str(spans), "kfunc", "--", *argv],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    counters = json.loads(spans.read_text(encoding="utf-8"))["counters"]
+    assert 0 < counters.get("quadrature.nodes", 0) <= 840
 
 
 @pytest.mark.parametrize(("command", "most"), [("kfunc", 72), ("converse", 87)], ids=["kfunc", "converse"])

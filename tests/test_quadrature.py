@@ -144,3 +144,67 @@ def test_tolerance_error_carries_best_estimate():
     assert err.best is not None and len(err.best) == 5
     assert err.best[1] == pytest.approx(u_coefficients_numeric(exp, 4, 1e-12)[1], abs=1e-12)
     assert err.achieved is not None
+
+
+# -- one basis per panel count, shared by the functions of a call ------------------
+
+
+@pytest.mark.parametrize("n", [2, 64, 256])
+def test_batched_coefficients_equal_lone_calls(n):
+    specs = [get_function(name) for name in ("exp", "sinpi", "abs52")]
+    batched = u_coefficients_numeric(specs, n, 1e-10)
+    assert isinstance(batched, list) and len(batched) == 3
+    for f, got in zip(specs, batched):
+        assert got.tobytes() == u_coefficients_numeric(f, n, 1e-10).tobytes()
+    assert u_coefficients_numeric(tuple(specs), n, 1e-10)[1].tobytes() == batched[1].tobytes()
+
+
+def _pole() -> FunctionSpec:
+    # finite at both endpoints, which are taken exactly, and infinite inside
+    return FunctionSpec(
+        name="pole",
+        derivative_fn=lambda order, xs: np.where((xs > 0.0) & (xs < 1.0), np.inf, 0.0),
+        poly=None,
+        smoothness=get_function("exp").smoothness,
+    )
+
+
+def test_failing_sibling_raises_only_from_its_own_call():
+    exp, pole = get_function("exp"), _pole()
+    got_exp, got_pole = u_coefficients_numeric([exp, pole], 6, 1e-10)
+    assert got_exp.tobytes() == u_coefficients_numeric(exp, 6, 1e-10).tobytes()
+    with pytest.raises(IntegrationError) as lone:
+        u_coefficients_numeric(pole, 6, 1e-10)
+    assert type(got_pole) is IntegrationError
+    assert str(got_pole) == str(lone.value)
+
+
+def test_failing_sibling_in_a_sweep_raises_only_from_its_own_check():
+    from gsops.analysis import check_direct, sweep_memo
+
+    exp, pole = get_function("exp"), _pole()
+    memo = sweep_memo([exp, pole])
+    assert check_direct(exp, 2, memo=memo) == check_direct(exp, 2)
+    assert not any(key[1] is pole for key in memo if isinstance(key, tuple))
+    with pytest.raises(IntegrationError, match="'pole' non-finite"):
+        check_direct(pole, 2, memo=memo)
+    # the other way round, exp is stored although the call that computed it raised
+    memo = sweep_memo([pole, exp])
+    with pytest.raises(IntegrationError, match="'pole' non-finite"):
+        check_direct(pole, 2, memo=memo)
+    assert [key[:3] for key in memo if isinstance(key, tuple)] == [("Utilde", exp, 2)]
+
+
+def test_batched_tolerance_error_is_the_lone_one():
+    exp, abs52 = get_function("exp"), get_function("abs52")
+    got_exp, got_abs = u_coefficients_numeric([exp, abs52], 4, 0.0)
+    with pytest.raises(ToleranceError) as lone:
+        u_coefficients_numeric(abs52, 4, 0.0)
+    assert type(got_abs) is ToleranceError and str(got_abs) == str(lone.value)
+    assert got_abs.best.tobytes() == lone.value.best.tobytes()
+    assert type(got_exp) is ToleranceError
+    # n = 1 takes the endpoints only, so even tol 0 closes at once
+    assert [u.tolist() for u in u_coefficients_numeric([exp, abs52], 1, 0.0)] == [
+        u_coefficients_numeric(exp, 1, 0.0).tolist(),
+        u_coefficients_numeric(abs52, 1, 0.0).tolist(),
+    ]

@@ -11,6 +11,7 @@ bit.
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from gsops.analysis import (
     lebesgue_bound,
     sup_norm,
 )
+from gsops.basis import EVAL_WORKSPACE as BASIS_WORKSPACE
+from gsops.basis import _eval_chunk as basis_chunk
 from gsops.basis import bernstein_matrix, tail_sums
 from gsops.catalog import catalog_names, get_function
 from gsops.operators import (
@@ -191,6 +194,48 @@ def test_bernstein_matrix_matches_level_by_level_recurrence(n):
         assert out.shape == (xs.size, n + 1)
         assert out.flags.c_contiguous
         assert np.array_equal(out, level_by_level_basis(n, xs))
+
+
+@pytest.mark.parametrize("n", [0, 1, 127, 128, 255, 256, 510, 511, 1000])
+def test_bernstein_matrix_flat_kernel_matches_oracle_at_chunk_edges(n):
+    # the chunk width w changes with n; point counts around w cover a lone
+    # chunk, a full one and a short last one.  The oracle's cost grows as
+    # n^2 times the points, so the 2003-point grid stops at n = 256
+    rng = np.random.default_rng(n)
+    w = basis_chunk(n)
+    for size in (0, 1, w - 1, w, w + 1, 2003 if n <= 256 else 3 * w + 1):
+        xs = rng.uniform(0.0, 1.0, size)
+        out = bernstein_matrix(n, xs)
+        assert out.shape == (size, n + 1)
+        assert out.flags.c_contiguous
+        assert out.tobytes() == level_by_level_basis(n, xs).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 511])
+def test_bernstein_matrix_endpoint_rows_in_every_chunk(n):
+    xs = np.tile([0.0, 0.5, 1.0], basis_chunk(n) + 1)  # endpoints in every chunk
+    out = bernstein_matrix(n, xs)
+    unit = np.zeros(n + 1)
+    unit[0] = 1.0
+    assert np.all(out[0::3] == unit)
+    assert np.all(out[2::3] == unit[::-1])
+    assert out.tobytes() == level_by_level_basis(n, xs).tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 127, 255, 512, 1000])
+def test_basis_workspace_is_bounded(n):
+    # one rule for both kernels: the operators module reads the basis module's.
+    # Beyond its result, bernstein_matrix holds four work arrays of at most
+    # EVAL_WORKSPACE floats each, whatever the number of chunks
+    assert (BASIS_WORKSPACE, basis_chunk) == (EVAL_WORKSPACE, _eval_chunk)
+    xs = np.linspace(0.0, 1.0, 3 * basis_chunk(n) + 1)
+    tracemalloc.start()
+    try:
+        out = bernstein_matrix(n, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 4 * 8 * BASIS_WORKSPACE + 2**14
 
 
 def test_bernstein_matrix_empty_and_scalar_points():
