@@ -9,7 +9,8 @@ checks and the random Bernstein probes, the decomposition checks behind the
 Bernstein-type constant, the K-functional sandwich (constructive upper
 candidate plus the direct-theorem lower bound), the strong-converse check at
 two operator scales, and the errors and log-log slope of convergence rates.
-Every report the CLI prints is built here.
+Every report the CLI prints is built here, except the exact identity rows of
+``verify``, which the CLI builds from the exactpoly checks.
 
 Reports of (function, n) pairs can be produced concurrently, with or
 without a shared memo, and merged by key without affecting values.
@@ -110,7 +111,8 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class SupNormEstimate:
-    """A certified-from-below estimate of a uniform norm on [0,1]."""
+    """The largest computed |f| over sampled points of [0,1]: an estimate of the
+    uniform norm from below, up to rounding that nothing certifies."""
 
     value: float
     argmax: float
@@ -540,8 +542,8 @@ def bernstein_probe_max_ratio(
     """Randomized search for the worst ||Dtilde Utilde_n f|| / (n ||f||).
 
     Probes are degree-n polynomials with random +-1 Bernstein coefficient
-    sign patterns; both norms are plain grid maxima (a lower bound of the
-    sup, which only makes the reported ratio conservative w.r.t. violations).
+    sign patterns.  Both norms are plain grid maxima, so the ratio errs either
+    way: the numerator can hide a violation, the denominator inflates it.
     """
     if n < 2:
         raise ValueError("n must be >= 2")

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import InvariantViolation
 
 __all__ = [
-    "InvariantViolation",
     "RationalPoly",
     "ExactBernsteinForm",
     "PHI",
@@ -193,13 +192,6 @@ class ExactBernsteinForm:
                     cs[k] += Fraction(n + 1 - k, n + 1) * form.coeffs[k]
             form = ExactBernsteinForm(n + 1, cs)
         return form
-
-    def __call__(self, x):
-        """De Casteljau evaluation; exact for Fraction input."""
-        vals = list(self.coeffs)
-        for level in range(self.n):
-            vals = [(1 - x) * vals[i] + x * vals[i + 1] for i in range(len(vals) - 1)]
-        return vals[0]
 
     def __sub__(self, other: "ExactBernsteinForm") -> "ExactBernsteinForm":
         n = max(self.n, other.n)

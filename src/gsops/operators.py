@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import EVAL_WORKSPACE, _eval_chunk
+from .basis import _eval_chunk
 from .catalog import MAX_DERIVATIVE_ORDER, FunctionSpec
 from .exactpoly import PHI, RationalPoly, u_coefficients_exact
 from .quadrature import u_coefficients_numeric
@@ -72,8 +72,8 @@ class BernsteinForm:
         coefficient k at each of its points, so a level is three contiguous
         ufunc calls on prefixes of length level * w.  Every entry is still
         (1 - t) b_k + t b_{k+1}, rounded as in the textbook recurrence.  Each
-        of the four work arrays holds at most EVAL_WORKSPACE floats, for any
-        degree below EVAL_WORKSPACE.
+        of the four work arrays holds at most basis.EVAL_WORKSPACE floats, for
+        any degree below it.
         """
         xs = np.asarray(x, dtype=float)
         pts = np.atleast_1d(xs).ravel()

@@ -4,6 +4,7 @@ import ast
 import contextlib
 import csv
 import importlib
+import inspect
 import io
 import json
 import math
@@ -24,6 +25,7 @@ from gsops.basis import bernstein_matrix, t_matrix
 from gsops.catalog import catalog_names
 from gsops.cli import (
     _COLUMNS,
+    _COMMANDS,
     _VERIFY_COLUMNS,
     EXIT_OK,
     EXIT_USAGE,
@@ -318,6 +320,17 @@ def test_negative_probes_is_usage_error(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_negative_seed_is_usage_error_before_any_work(command, capsys):
+    argv = [command, "--fns", "t2", "--n", "2", "--seed", "-1"]
+    if command == "eval":
+        argv += ["--form", "no-such-form.json"]
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "gsops: configuration error: --seed must be >= 0\n"
+
+
 def test_unreachable_tolerance_is_usage_error_without_traceback(capsys):
     # a valid but unreachable target: the quadrature raises ToleranceError
     assert main(["table", "--fns", "exp", "--n", "4", "--tol", "1e-300"]) == EXIT_USAGE
@@ -438,7 +451,8 @@ def test_eval_malformed_form_is_usage_error(tmp_path, capsys, document):
 
 
 def test_cli_defines_no_check():
-    # every check and its report are built in gsops.analysis; the CLI binds
+    # every inequality check and its report are built in gsops.analysis (the
+    # CLI builds only the exact identity rows of verify); the CLI binds
     # nothing of the basis layer and constructs no InequalityReport itself
     bound = [
         name for name, obj in vars(gsops.cli).items()
@@ -465,15 +479,15 @@ def _names_used(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return used
 
 
+def _module_trees() -> dict[str, ast.Module]:
+    package = Path(gsops.cli.__file__).parent
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+
+
 def test_every_public_function_has_a_caller_in_src():
     # a public function that only tests reach is a deletion candidate; the
-    # package re-exports in __init__.py and the __all__ strings are not callers
-    package = Path(gsops.cli.__file__).parent
-    trees = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(package.glob("*.py"))
-        if path.name != "__init__.py"
-    }
+    # __all__ strings are not callers
+    trees = _module_trees()
     used = {stem: _names_used(tree) for stem, tree in trees.items()}
     uncalled = []
     for module in ("basis", "exactpoly", "quadrature", "catalog", "operators", "analysis"):
@@ -485,6 +499,52 @@ def test_every_public_function_has_a_caller_in_src():
             if not used_elsewhere and node.name not in _names_used(trees[module], skip=node):
                 uncalled.append(f"{module}.{node.name}")
     assert uncalled == []
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Bare names read in tree, including those inside string annotations."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                names |= _names_read(ast.parse(annotation.value, mode="eval"))
+    return names
+
+
+def test_every_public_name_has_one_home():
+    # callers import each name from the module that defines it: the package
+    # binds only its dunders (__version__) and its submodules, no module lists
+    # a name in __all__ that it imports, and no module imports a name only to
+    # pass it on or to mention it in a docstring
+    loose = [
+        name for name, obj in vars(gsops).items()
+        if not (name.startswith("__") and name.endswith("__")) and not inspect.ismodule(obj)
+    ]
+    assert loose == []
+    borrowed, unused = [], []
+    for stem, tree in _module_trees().items():
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+        module = importlib.import_module("gsops" if stem == "__init__" else f"gsops.{stem}")
+        borrowed += [f"{stem}.{name}" for name in getattr(module, "__all__", ()) if name not in defined]
+        read = _names_read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{stem}.{name}" for name in bound if name not in read]
+    assert borrowed == []
+    assert unused == []
 
 
 # -- byte identity with the recorded reference ----------------------------------------

@@ -114,14 +114,6 @@ def test_to_poly_matches_binomial_sum(n):
     assert form.to_poly() == _to_poly_by_binomial_sum(form)
 
 
-def test_form_eval_endpoints_are_coefficients():
-    form = ExactBernsteinForm(3, [1, Fraction(1, 2), 2, -1])
-    assert form(Fraction(0)) == 1
-    assert form(Fraction(1)) == -1
-    # interior de Casteljau value equals the expanded polynomial's
-    assert form(Fraction(1, 3)) == form.to_poly()(Fraction(1, 3))
-
-
 def test_from_poly_rejects_too_small_degree():
     with pytest.raises(ValueError):
         ExactBernsteinForm.from_poly(T3, 2)

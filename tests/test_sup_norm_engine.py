@@ -16,6 +16,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gsops.basis
+import gsops.operators
 from gsops.analysis import (
     DEFAULT_GRID,
     GOLDEN_ITERATIONS,
@@ -29,14 +31,10 @@ from gsops.analysis import (
     lebesgue_bound,
     sup_norm,
 )
-from gsops.basis import EVAL_WORKSPACE as BASIS_WORKSPACE
-from gsops.basis import _eval_chunk as basis_chunk
-from gsops.basis import bernstein_matrix, tail_sums
+from gsops.basis import EVAL_WORKSPACE, _eval_chunk, bernstein_matrix, tail_sums
 from gsops.catalog import catalog_names, get_function
 from gsops.operators import (
-    EVAL_WORKSPACE,
     BernsteinForm,
-    _eval_chunk,
     apply_U,
     apply_Utilde,
     dtilde_form,
@@ -202,7 +200,7 @@ def test_bernstein_matrix_flat_kernel_matches_oracle_at_chunk_edges(n):
     # chunk, a full one and a short last one.  The oracle's cost grows as
     # n^2 times the points, so the 2003-point grid stops at n = 256
     rng = np.random.default_rng(n)
-    w = basis_chunk(n)
+    w = _eval_chunk(n)
     for size in (0, 1, w - 1, w, w + 1, 2003 if n <= 256 else 3 * w + 1):
         xs = rng.uniform(0.0, 1.0, size)
         out = bernstein_matrix(n, xs)
@@ -213,7 +211,7 @@ def test_bernstein_matrix_flat_kernel_matches_oracle_at_chunk_edges(n):
 
 @pytest.mark.parametrize("n", [1, 2, 127, 511])
 def test_bernstein_matrix_endpoint_rows_in_every_chunk(n):
-    xs = np.tile([0.0, 0.5, 1.0], basis_chunk(n) + 1)  # endpoints in every chunk
+    xs = np.tile([0.0, 0.5, 1.0], _eval_chunk(n) + 1)  # endpoints in every chunk
     out = bernstein_matrix(n, xs)
     unit = np.zeros(n + 1)
     unit[0] = 1.0
@@ -227,15 +225,15 @@ def test_basis_workspace_is_bounded(n):
     # one rule for both kernels: the operators module reads the basis module's.
     # Beyond its result, bernstein_matrix holds four work arrays of at most
     # EVAL_WORKSPACE floats each, whatever the number of chunks
-    assert (BASIS_WORKSPACE, basis_chunk) == (EVAL_WORKSPACE, _eval_chunk)
-    xs = np.linspace(0.0, 1.0, 3 * basis_chunk(n) + 1)
+    assert gsops.operators._eval_chunk is gsops.basis._eval_chunk
+    xs = np.linspace(0.0, 1.0, 3 * _eval_chunk(n) + 1)
     tracemalloc.start()
     try:
         out = bernstein_matrix(n, xs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - out.nbytes <= 4 * 8 * BASIS_WORKSPACE + 2**14
+    assert peak - out.nbytes <= 4 * 8 * EVAL_WORKSPACE + 2**14
 
 
 def test_bernstein_matrix_empty_and_scalar_points():
