@@ -12,8 +12,11 @@ two operator scales, and the errors and log-log slope of convergence rates.
 Every report the CLI prints is built here, except the exact identity rows of
 ``verify``, which the CLI builds from the exactpoly checks.
 
-Reports of (function, n) pairs can be produced concurrently, with or
-without a shared memo, and merged by key without affecting values.
+Each check of a function takes its operator outputs and norms from a Sweep,
+which a run builds once and hands to every check.  One Sweep serves one
+thread; the cached grid bases of sup_norm are shared under a lock, so
+threads with a Sweep each can produce reports concurrently, and merged by key
+they hold the same values.
 """
 
 from __future__ import annotations
@@ -31,10 +34,8 @@ from .basis import bernstein_matrix, moment, phi_big, t_matrix, tail_sums, xi_ze
 from .catalog import FunctionSpec
 from .errors import PreconditionError
 from .operators import (
-    DEFAULT_TOL,
     BernsteinForm,
     apply_U,
-    apply_Utilde,
     apply_Utilde_to_form,
     dtilde_coefficient_map,
     dtilde_form,
@@ -59,7 +60,7 @@ __all__ = [
     "Residual",
     "sup_norm",
     "distance",
-    "dtilde_sup_norm",
+    "Sweep",
     "lebesgue_bound",
     "check_lebesgue",
     "check_float_identities",
@@ -71,7 +72,6 @@ __all__ = [
     "bernstein_probe_max_ratio",
     "check_bernstein_probes",
     "check_bn_decomposition",
-    "sweep_memo",
     "kfunctional_sandwich",
     "check_direct",
     "check_converse",
@@ -365,9 +365,67 @@ def distance(p: BernsteinForm, f: FunctionSpec, grid_size: int = DEFAULT_GRID) -
     return sup_norm(Residual(p, f.eval), grid_size).value
 
 
-def dtilde_sup_norm(f: FunctionSpec, ell: int, grid_size: int = DEFAULT_GRID) -> float:
-    """||Dtilde^ell f|| for a catalog function, via analytic derivatives."""
-    return sup_norm(dtilde_of_function(f, ell), grid_size).value
+class Sweep:
+    """The operator outputs and norms of one run, each computed once.
+
+    Every check of a function takes them from here.  Values are keyed by the
+    function spec, so two specs that share a name never share a value.  A
+    miss of U_m f for a function of ``fs`` that takes the quadrature path
+    computes U_m of every one of them that lacks it in one call, storing none
+    that fails, and raises only for f.  The sup norms are taken on the grid of
+    ``grid_size`` points, the quadratures to ``tol``.
+    """
+
+    def __init__(self, fs: Sequence[FunctionSpec], grid_size: int, tol: float) -> None:
+        self.grid_size = grid_size
+        self.tol = tol
+        self._quadrature = tuple(dict.fromkeys(f for f in fs if f.poly is None))
+        self._values: dict[tuple, object] = {}
+
+    def _memoized(self, key: tuple, compute: Callable):
+        if key not in self._values:
+            self._values[key] = compute()
+        return self._values[key]
+
+    def U(self, f: FunctionSpec, m: int) -> BernsteinForm:
+        if ("U", f, m) not in self._values and f in self._quadrature:
+            lacking = [g for g in self._quadrature if ("U", g, m) not in self._values]
+            coeffs = dict(zip(lacking, u_coefficients_numeric(lacking, m, self.tol)))
+            for g, u in coeffs.items():
+                if not isinstance(u, Exception):
+                    self._values["U", g, m] = BernsteinForm(m, u)
+            if isinstance(coeffs[f], Exception):
+                raise coeffs[f]
+        return self._memoized(("U", f, m), lambda: apply_U(f, m, self.tol))
+
+    def Utilde(self, f: FunctionSpec, m: int) -> BernsteinForm:
+        return self._memoized(("Utilde", f, m), lambda: utilde_from_u(self.U(f, m)))
+
+    def error(self, f: FunctionSpec, m: int) -> float:
+        """||Utilde_m f - f||."""
+        return self._memoized(("error", f, m), lambda: distance(self.Utilde(f, m), f, self.grid_size))
+
+    def dtilde_norm(self, f: FunctionSpec, ell: int) -> float:
+        """||Dtilde^ell f|| via analytic derivatives; ||f|| at ell = 0."""
+        return self._memoized(
+            ("dtilde_norm", f, ell), lambda: sup_norm(dtilde_of_function(f, ell), self.grid_size).value
+        )
+
+    def iterate_norms(self, f: FunctionSpec, m: int) -> tuple[float, float]:
+        """(||g - f||, ||Dtilde^2 g||) for the K-functional candidate g = Utilde_m^3 f.
+
+        g is the stored Utilde_m f with Utilde_m applied twice more to its
+        Bernstein form: those rounds use the exact coefficient-integral matrix
+        in float arithmetic instead of compounding quadrature error.
+        """
+
+        def norms() -> tuple[float, float]:
+            g = self.Utilde(f, m)
+            for _ in range(2):
+                g = apply_Utilde_to_form(g, m)
+            return distance(g, f, self.grid_size), sup_norm(dtilde_form(dtilde_form(g)), self.grid_size).value
+
+        return self._memoized(("iterate_norms", f, m), norms)
 
 
 def _ptilde_abs_sums(n: int, xs: np.ndarray) -> np.ndarray:
@@ -467,16 +525,13 @@ def check_float_identities(
     ]
 
 
-def check_interpolation(
-    f: FunctionSpec, n: int, grid_size: int = DEFAULT_GRID, tol: float = DEFAULT_TOL
-) -> list[InequalityReport]:
+def check_interpolation(f: FunctionSpec, n: int, sweep: Sweep) -> list[InequalityReport]:
     """U_n f and Utilde_n f interpolate f at 0 and 1; Utilde_n reproduces a linear f."""
-    pu = apply_U(f, n, tol)
-    put = utilde_from_u(pu)
+    pu, put = sweep.U(f, n), sweep.Utilde(f, n)
     dev = max(abs(p.eval(x) - f.eval(x)) for p in (pu, put) for x in (0.0, 1.0))
     reports = [InequalityReport("endpoint_interp", f.name, n, dev, 1e-12)]
     if f.polynomial_degree is not None and f.polynomial_degree <= 1:
-        reports.append(InequalityReport("linear_reproduction", f.name, n, distance(put, f, grid_size), 1e-12))
+        reports.append(InequalityReport("linear_reproduction", f.name, n, sweep.error(f, n), 1e-12))
     return reports
 
 
@@ -485,30 +540,24 @@ def _require(flag: bool, f: FunctionSpec, requirement: str) -> None:
         raise PreconditionError(f"{f.name}: requires {requirement}")
 
 
-def check_contraction_U(
-    f: FunctionSpec, n: int, grid_size: int = DEFAULT_GRID, tol: float = DEFAULT_TOL
-) -> InequalityReport:
+def check_contraction_U(f: FunctionSpec, n: int, sweep: Sweep) -> InequalityReport:
     """||U_n f - f|| <= (1/n) ||Dtilde f||."""
     _require(f.smoothness.w2, f, "f in W^2(phi)")
-    lhs = distance(apply_U(f, n, tol), f, grid_size)
-    rhs = dtilde_sup_norm(f, 1, grid_size) / n
+    lhs = distance(sweep.U(f, n), f, sweep.grid_size)
+    rhs = sweep.dtilde_norm(f, 1) / n
     return InequalityReport("contraction_U", f.name, n, lhs, rhs)
 
 
-def check_jackson(
-    f: FunctionSpec, n: int, grid_size: int = DEFAULT_GRID, tol: float = DEFAULT_TOL
-) -> InequalityReport:
+def check_jackson(f: FunctionSpec, n: int, sweep: Sweep) -> InequalityReport:
     """Jackson-type bound ||Utilde_n f - f|| <= (1/n^2) ||Dtilde^2 f||."""
     _require(f.smoothness.w20, f, "f in W^2_0(phi)")
     _require(f.smoothness.dtilde_w2, f, "Dtilde f in W^2(phi)")
-    lhs = distance(apply_Utilde(f, n, tol), f, grid_size)
-    rhs = dtilde_sup_norm(f, 2, grid_size) / n**2
+    lhs = sweep.error(f, n)
+    rhs = sweep.dtilde_norm(f, 2) / n**2
     return InequalityReport("jackson", f.name, n, lhs, rhs)
 
 
-def check_voronovskaya(
-    f: FunctionSpec, n: int, grid_size: int = DEFAULT_GRID, tol: float = DEFAULT_TOL
-) -> InequalityReport:
+def check_voronovskaya(f: FunctionSpec, n: int, sweep: Sweep) -> InequalityReport:
     """Voronovskaya-type bound on the leading-term residual.
 
     ||Utilde_n f - f + lambda(n) Dtilde^2 f|| <= theta(n) ||Dtilde^3 f||.
@@ -517,22 +566,18 @@ def check_voronovskaya(
     _require(f.smoothness.dtilde_w20, f, "Dtilde f in W^2_0(phi)")
     _require(f.smoothness.d3_bounded, f, "Dtilde^3 f bounded")
     ts = tail_sums(n)
-    p = apply_Utilde(f, n, tol)
-    residual = Residual(p, f.eval, dtilde_of_function(f, 2), ts.lam)
-    lhs = sup_norm(residual, grid_size).value
-    rhs = ts.theta * dtilde_sup_norm(f, 3, grid_size)
+    residual = Residual(sweep.Utilde(f, n), f.eval, dtilde_of_function(f, 2), ts.lam)
+    lhs = sup_norm(residual, sweep.grid_size).value
+    rhs = ts.theta * sweep.dtilde_norm(f, 3)
     return InequalityReport("voronovskaya", f.name, n, lhs, rhs)
 
 
-def check_bernstein_inequality(
-    f: FunctionSpec, n: int, grid_size: int = DEFAULT_GRID, tol: float = DEFAULT_TOL
-) -> InequalityReport:
+def check_bernstein_inequality(f: FunctionSpec, n: int, sweep: Sweep) -> InequalityReport:
     """Bernstein-type bound ||Dtilde Utilde_n f|| <= (6.5 + sqrt 6) n ||f||."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    ut = apply_Utilde(f, n, tol)
-    lhs = sup_norm(dtilde_form(ut), grid_size).value
-    rhs = BERNSTEIN_CONSTANT * n * sup_norm(f.eval, grid_size).value
+    lhs = sup_norm(dtilde_form(sweep.Utilde(f, n)), sweep.grid_size).value
+    rhs = BERNSTEIN_CONSTANT * n * sweep.dtilde_norm(f, 0)
     return InequalityReport("bernstein", f.name, n, lhs, rhs)
 
 
@@ -634,68 +679,7 @@ def check_bn_decomposition(n: int, grid_size: int = DEFAULT_GRID) -> list[Inequa
     ]
 
 
-# Memo of one sweep, passed to the sandwich checks of all its functions so
-# that each operator output and its norms are computed once per sweep.  The
-# keys carry every argument the value depends on, the function spec among
-# them, so two specs that share a name never share a value; the "quadrature"
-# entry lists the sweep's functions that take the quadrature path.
-
-
-def sweep_memo(fs: Sequence[FunctionSpec]) -> dict:
-    """A fresh memo for the sandwich checks of a sweep over the functions fs."""
-    return {"quadrature": tuple(dict.fromkeys(f for f in fs if f.poly is None))}
-
-
-def _memoized(memo: dict, key: tuple, compute: Callable):
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
-
-
-def _utilde(f: FunctionSpec, m: int, tol: float, memo: dict) -> BernsteinForm:
-    """Utilde_m f; a miss for a quadrature function of the sweep computes U_m of
-    all of them that lack it in one call, storing none that fails."""
-    if ("Utilde", f, m, tol) not in memo and f in memo.get("quadrature", ()):
-        lacking = [g for g in memo["quadrature"] if ("Utilde", g, m, tol) not in memo]
-        coeffs = dict(zip(lacking, u_coefficients_numeric(lacking, m, tol)))
-        for g, u in coeffs.items():
-            if not isinstance(u, Exception):
-                memo["Utilde", g, m, tol] = utilde_from_u(BernsteinForm(m, u))
-        if isinstance(coeffs[f], Exception):
-            raise coeffs[f]
-    return _memoized(memo, ("Utilde", f, m, tol), lambda: apply_Utilde(f, m, tol))
-
-
-def _utilde_error(f: FunctionSpec, m: int, grid_size: int, tol: float, memo: dict) -> float:
-    """||Utilde_m f - f||."""
-    key = ("error", f, m, grid_size, tol)
-    return _memoized(memo, key, lambda: distance(_utilde(f, m, tol, memo), f, grid_size))
-
-
-def _iterate_norms(f: FunctionSpec, m: int, grid_size: int, tol: float, memo: dict) -> tuple[float, float]:
-    """(||g - f||, ||Dtilde^2 g||) for the K-functional candidate g = Utilde_m^3 f.
-
-    g is the memoized Utilde_m f with Utilde_m applied twice more to its
-    Bernstein form: those rounds use the exact coefficient-integral matrix in
-    float arithmetic instead of compounding quadrature error.
-    """
-
-    def norms() -> tuple[float, float]:
-        g = _utilde(f, m, tol, memo)
-        for _ in range(2):
-            g = apply_Utilde_to_form(g, m)
-        return distance(g, f, grid_size), sup_norm(dtilde_form(dtilde_form(g)), grid_size).value
-
-    return _memoized(memo, ("iterate_norms", f, m, grid_size, tol), norms)
-
-
-def kfunctional_sandwich(
-    f: FunctionSpec,
-    n: int,
-    grid_size: int = DEFAULT_GRID,
-    tol: float = DEFAULT_TOL,
-    memo: dict | None = None,
-) -> KfSandwich:
+def kfunctional_sandwich(f: FunctionSpec, n: int, sweep: Sweep) -> KfSandwich:
     """Two-sided estimate of K(f, 1/n^2), with the guarantees of KfSandwich.
 
     The upper side minimizes ||f - g|| + t ||Dtilde^2 g|| over the concrete
@@ -705,10 +689,6 @@ def kfunctional_sandwich(
     The operator error ||Utilde_n f - f|| is kept as ``err``; divided by
     1 + sqrt(3) it is the lower side.
 
-    ``memo``, a sweep_memo the caller keeps for every f and n of a sweep,
-    holds the operator outputs and norms for later calls; without it they
-    are shared within this call only.
-
     Candidates whose costs tie in exact arithmetic (at t2, n = 2 the
     candidates m = 2, m = 4 and f itself all cost 1/4) are ranked by the last
     bit of their computed costs, and the winner is what ``candidate_id``, the
@@ -717,56 +697,39 @@ def kfunctional_sandwich(
     if n < 2:
         raise ValueError("n must be >= 2")
     t = 1.0 / n**2
-    memo = {} if memo is None else memo
 
     best_cost = math.inf
     best_id = ""
     for m in (n, 2 * n, 4 * n, 8 * n):
-        dist, d2 = _iterate_norms(f, m, grid_size, tol, memo)
+        dist, d2 = sweep.iterate_norms(f, m)
         cost = dist + t * d2
         if cost < best_cost:
             best_cost, best_id = cost, f"utilde3_m{m}"
     if f.smoothness.w20 and f.smoothness.dtilde_w2:
-        d2f = _memoized(memo, ("dtilde2_norm", f, grid_size), lambda: dtilde_sup_norm(f, 2, grid_size))
-        cost = t * d2f
+        cost = t * sweep.dtilde_norm(f, 2)
         if cost < best_cost:
             best_cost, best_id = cost, "f_itself"
 
-    err_n = _utilde_error(f, n, grid_size, tol, memo)
-    return KfSandwich(t=t, err=err_n, upper=best_cost, candidate_id=best_id)
+    return KfSandwich(t=t, err=sweep.error(f, n), upper=best_cost, candidate_id=best_id)
 
 
-def check_direct(
-    f: FunctionSpec,
-    n: int,
-    grid_size: int = DEFAULT_GRID,
-    tol: float = DEFAULT_TOL,
-    memo: dict | None = None,
-) -> list[InequalityReport]:
+def check_direct(f: FunctionSpec, n: int, sweep: Sweep) -> list[InequalityReport]:
     """The sandwich and the direct theorem, both from one sandwich.
 
     Reports kf_sandwich (lower <= upper) and direct, which checks
     ||Utilde_n f - f|| <= (1 + sqrt 3) upper.  The direct theorem bounds the
     error by (1 + sqrt 3) K(f, 1/n^2), and K <= upper, so the row checks a
     consequence of the theorem, a weaker inequality than the theorem itself.
-    Both rows compare the same ratio, err / ((1 + sqrt 3) upper).  ``memo``
-    is kfunctional_sandwich's.
+    Both rows compare the same ratio, err / ((1 + sqrt 3) upper).
     """
-    sw = kfunctional_sandwich(f, n, grid_size, tol, memo)
+    sw = kfunctional_sandwich(f, n, sweep)
     return [
         InequalityReport("kf_sandwich", f.name, n, sw.lower, sw.upper, note=sw.candidate_id),
         InequalityReport("direct", f.name, n, sw.err, (1.0 + SQRT3) * sw.upper, note=sw.candidate_id),
     ]
 
 
-def check_converse(
-    f: FunctionSpec,
-    n: int,
-    ell: int,
-    grid_size: int = DEFAULT_GRID,
-    tol: float = DEFAULT_TOL,
-    memo: dict | None = None,
-) -> list[InequalityReport]:
+def check_converse(f: FunctionSpec, n: int, ell: int, sweep: Sweep) -> list[InequalityReport]:
     """Strong converse bound at two operator scales, plus its iterate step.
 
     Verifies K(f, 1/n^2) <= C (ell/n)^2 (||Utilde_n f - f|| + ||Utilde_ell f - f||)
@@ -774,8 +737,7 @@ def check_converse(
     L = 16(6.5 + sqrt 6)/9, with the sandwich upper bound standing in for K.
     Also verifies the triple-iterate contraction
     ||f - Utilde_n^3 f|| <= (4 + sqrt 3) ||f - Utilde_n f||, whose left side
-    is the sandwich's m = n candidate distance.  ``memo`` is
-    kfunctional_sandwich's.
+    is the sandwich's m = n candidate distance.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -785,31 +747,24 @@ def check_converse(
             f"ell={ell} below threshold: need ell >= ceil(L*n) = {required} "
             f"(L = {CONVERSE_SCALE_FACTOR:.6f})"
         )
-    memo = {} if memo is None else memo
-    sw = kfunctional_sandwich(f, n, grid_size, tol, memo)
-    err_ell = _utilde_error(f, ell, grid_size, tol, memo)
-    rhs = CONVERSE_CONSTANT * (ell / n) ** 2 * (sw.err + err_ell)
+    sw = kfunctional_sandwich(f, n, sweep)
+    rhs = CONVERSE_CONSTANT * (ell / n) ** 2 * (sw.err + sweep.error(f, ell))
     main = InequalityReport("converse", f.name, n, sw.upper, rhs, ell=ell, note=sw.candidate_id)
 
-    lhs3, _ = _iterate_norms(f, n, grid_size, tol, memo)
+    lhs3, _ = sweep.iterate_norms(f, n)
     iterate_report = InequalityReport(
         "iterate_contraction", f.name, n, lhs3, (4.0 + SQRT3) * sw.err
     )
     return [main, iterate_report]
 
 
-def rate_errors(
-    f: FunctionSpec, n: int, grid_size: int = DEFAULT_GRID, tol: float = DEFAULT_TOL
-) -> tuple[float, float, float]:
+def rate_errors(f: FunctionSpec, n: int, sweep: Sweep) -> tuple[float, float, float]:
     """(||U_n f - f||, ||Utilde_n f - f||, lambda(n)), one row of the rate table.
 
     lambda(n) is the coefficient of Dtilde^2 f in the Voronovskaya-type
     expansion of Utilde_n f - f.
     """
-    pu = apply_U(f, n, tol)
-    err_u = distance(pu, f, grid_size)
-    err_ut = distance(utilde_from_u(pu), f, grid_size)
-    return err_u, err_ut, tail_sums(n).lam
+    return distance(sweep.U(f, n), f, sweep.grid_size), sweep.error(f, n), tail_sums(n).lam
 
 
 def loglog_slope(name: str, rows: Sequence[tuple[int, float]]) -> float:

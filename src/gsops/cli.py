@@ -18,6 +18,7 @@ from .exactpoly import apply_Utilde_exact, commute_check_exact, telescope_check_
 from .operators import BernsteinForm
 from .analysis import (
     InequalityReport,
+    Sweep,
     check_bernstein_inequality,
     check_bernstein_probes,
     check_bn_decomposition,
@@ -29,10 +30,8 @@ from .analysis import (
     check_jackson,
     check_lebesgue,
     check_voronovskaya,
-    dtilde_sup_norm,
     loglog_slope,
     rate_errors,
-    sweep_memo,
 )
 
 import argparse
@@ -170,15 +169,17 @@ def _verify_exact_rows(f: FunctionSpec, n: int) -> list[dict]:
 def cmd_verify(cfg: RunConfig) -> list[dict]:
     rows: list[dict] = []
     rng = np.random.default_rng(cfg.seed)
-    polys = [get_function(name) for name in cfg.fns if CATALOG[name].poly is not None]
+    fs = [get_function(name) for name in cfg.fns]
+    sweep = Sweep(fs, cfg.grid_size, cfg.tol)
     for n in cfg.n_list:
-        for f in polys:
-            rows.extend(_verify_exact_rows(f, n))
+        for f in fs:
+            if f.poly is not None:
+                rows.extend(_verify_exact_rows(f, n))
         rows.extend(_report_row(r) for r in check_float_identities(n, rng, cfg.grid_size))
-        for f in map(get_function, cfg.fns):
-            rows.extend(_report_row(r) for r in check_interpolation(f, n, cfg.grid_size, cfg.tol))
-            _guarded(rows, "contraction_U", f.name, n, lambda: check_contraction_U(f, n, cfg.grid_size, cfg.tol))
-            _guarded(rows, "jackson", f.name, n, lambda: check_jackson(f, n, cfg.grid_size, cfg.tol))
+        for f in fs:
+            rows.extend(_report_row(r) for r in check_interpolation(f, n, sweep))
+            _guarded(rows, "contraction_U", f.name, n, lambda: check_contraction_U(f, n, sweep))
+            _guarded(rows, "jackson", f.name, n, lambda: check_jackson(f, n, sweep))
     return rows
 
 
@@ -191,19 +192,20 @@ _TABLE_COLUMNS = ["f", "n", "err_U", "err_Utilde", "lambda_n", "bound_jackson", 
 
 def cmd_table(cfg: RunConfig) -> list[dict]:
     rows: list[dict] = []
-    for name in cfg.fns:
-        f = get_function(name)
+    fs = [get_function(name) for name in cfg.fns]
+    sweep = Sweep(fs, cfg.grid_size, cfg.tol)
+    for f in fs:
         jackson_ok = f.smoothness.w20 and f.smoothness.dtilde_w2
-        d2norm = dtilde_sup_norm(f, 2, cfg.grid_size) if jackson_ok else None
+        d2norm = sweep.dtilde_norm(f, 2) if jackson_ok else None
         errors: dict[str, list[tuple[int, float]]] = {"U": [], "Utilde": []}
         for n in cfg.n_list:
-            err_u, err_ut, lam = rate_errors(f, n, cfg.grid_size, cfg.tol)
+            err_u, err_ut, lam = rate_errors(f, n, sweep)
             errors["U"].append((n, err_u))
             errors["Utilde"].append((n, err_ut))
             bound = d2norm / n**2 if d2norm is not None else None
             rows.append(
                 {
-                    "f": name,
+                    "f": f.name,
                     "n": n,
                     "err_U": err_u,
                     "err_Utilde": err_ut,
@@ -220,7 +222,7 @@ def cmd_table(cfg: RunConfig) -> list[dict]:
                 slopes[op] = f"rejected: {exc}"
         rows.append(
             {
-                "f": name,
+                "f": f.name,
                 "n": "slope",
                 "err_U": slopes["U"],
                 "err_Utilde": slopes["Utilde"],
@@ -234,13 +236,12 @@ def cmd_table(cfg: RunConfig) -> list[dict]:
 
 def cmd_norms(cfg: RunConfig) -> list[dict]:
     rows: list[dict] = []
+    fs = [get_function(name) for name in cfg.fns]
+    sweep = Sweep(fs, cfg.grid_size, cfg.tol)
     for n in cfg.n_list:
         rows.append(_report_row(check_lebesgue(n, cfg.grid_size)))
-        for name in cfg.fns:
-            _guarded(
-                rows, "bernstein", name, n,
-                lambda f=get_function(name), n=n: check_bernstein_inequality(f, n, cfg.grid_size, cfg.tol),
-            )
+        for f in fs:
+            _guarded(rows, "bernstein", f.name, n, lambda: check_bernstein_inequality(f, n, sweep))
         if cfg.probes > 0:
             rng = np.random.default_rng([cfg.seed, n])
             rows.append(_report_row(check_bernstein_probes(n, cfg.probes, rng, cfg.grid_size)))
@@ -249,40 +250,32 @@ def cmd_norms(cfg: RunConfig) -> list[dict]:
     return rows
 
 
-def _sweep(cfg: RunConfig, name: str, check, ell_mult=None) -> list[dict]:
-    """Guarded rows of ``check(f, n, ell, memo)``, f outer and n inner.
+def _guarded_sweep(cfg: RunConfig, name: str, check, ell_mult=None) -> list[dict]:
+    """Guarded rows of ``check(f, n, ell, sweep)``, f outer and n inner.
 
-    ell = ell_mult * n, or None.  ``memo`` is one sweep_memo, shared by every
-    f and n, so that the sandwich checks compute each operator output and its
-    norms once per sweep, and U_m of all quadrature functions in one call.
+    ell = ell_mult * n, or None.  ``sweep`` is the run's one Sweep, shared by
+    every f and n, as in every command.
     """
     rows: list[dict] = []
     fs = [get_function(fname) for fname in cfg.fns]
-    memo = sweep_memo(fs)
+    sweep = Sweep(fs, cfg.grid_size, cfg.tol)
     for f in fs:
         for n in cfg.n_list:
             ell = None if ell_mult is None else ell_mult * n
-            _guarded(rows, name, f.name, n, lambda: check(f, n, ell, memo), ell=ell)
+            _guarded(rows, name, f.name, n, lambda: check(f, n, ell, sweep), ell=ell)
     return rows
 
 
 def cmd_kfunc(cfg: RunConfig) -> list[dict]:
-    return _sweep(
-        cfg, "kf_sandwich", lambda f, n, _, memo: check_direct(f, n, cfg.grid_size, cfg.tol, memo)
-    )
+    return _guarded_sweep(cfg, "kf_sandwich", lambda f, n, _, sweep: check_direct(f, n, sweep))
 
 
 def cmd_voronovskaya(cfg: RunConfig) -> list[dict]:
-    return _sweep(cfg, "voronovskaya", lambda f, n, _, __: check_voronovskaya(f, n, cfg.grid_size, cfg.tol))
+    return _guarded_sweep(cfg, "voronovskaya", lambda f, n, _, sweep: check_voronovskaya(f, n, sweep))
 
 
 def cmd_converse(cfg: RunConfig) -> list[dict]:
-    return _sweep(
-        cfg,
-        "converse",
-        lambda f, n, ell, memo: check_converse(f, n, ell, cfg.grid_size, cfg.tol, memo),
-        cfg.ell_mult,
-    )
+    return _guarded_sweep(cfg, "converse", check_converse, cfg.ell_mult)
 
 
 _EVAL_COLUMNS = ["x", "value"]
@@ -445,8 +438,12 @@ def main(argv=None) -> int:
     if cfg.out == "-":
         sys.stdout.write(text)
     else:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"gsops: configuration error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
     failed = [r for r in rows if r.get("pass") == "fail"]
     if failed:

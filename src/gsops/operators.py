@@ -32,7 +32,6 @@ __all__ = [
     "dtilde_coefficient_map",
     "u_coefficient_matrix",
     "apply_U",
-    "apply_Utilde",
     "apply_U_to_form",
     "apply_Utilde_to_form",
     "utilde_from_u",
@@ -211,11 +210,6 @@ def apply_U(f: FunctionSpec, n: int, tol: float = DEFAULT_TOL) -> BernsteinForm:
     else:
         u = u_coefficients_numeric(f, n, tol)
     return BernsteinForm(n, u)
-
-
-def apply_Utilde(f: FunctionSpec, n: int, tol: float = DEFAULT_TOL) -> BernsteinForm:
-    """Utilde_n f = U_n f - (1/n) Dtilde U_n f as a degree-n Bernstein form."""
-    return utilde_from_u(apply_U(f, n, tol))
 
 
 @lru_cache(maxsize=None)

@@ -1,11 +1,11 @@
-"""Gauss-Legendre rules on [0,1] and the numeric coefficient integrals.
+"""The numeric coefficient integrals, by composite 24-point Gauss-Legendre rules.
 
-Rule generation finds the Legendre roots by Newton iteration from Chebyshev
-initial guesses; a rule of size m integrates polynomials up to degree 2m-1
-exactly.  The adaptive computation of the operator coefficients u_{n,k}(f)
-by composite rules lives here too.
+The rule on [0,1] is built on first use, by Newton iteration for the
+Legendre roots from Chebyshev initial guesses, and integrates polynomials up
+to degree 47 exactly.  The adaptive computation of the operator coefficients
+u_{n,k}(f) applies it on 1, 2, 4, ... panels.
 
-Rules are immutable and shareable across threads; a function's evaluation
+The rule is read-only and shareable across threads; a function's evaluation
 must be safe for concurrent invocation (it receives a whole ndarray of
 points).
 """
@@ -13,8 +13,7 @@ points).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -25,27 +24,11 @@ from .errors import IntegrationError, ToleranceError
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import FunctionSpec
 
-__all__ = ["QuadratureRule", "gauss_legendre", "u_coefficients_numeric"]
+__all__ = ["u_coefficients_numeric"]
 
-MAX_RULE_SIZE = 512
 MAX_PANELS = 1024  # 2**10
 NEWTON_TOL = 1e-15
 NEWTON_MAX_ITER = 100
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre nodes/weights mapped to [0,1].
-
-    ``exactness`` = 2m - 1 is the highest polynomial degree integrated
-    exactly.  Weights sum to 1; nodes are strictly increasing and symmetric
-    about 1/2.
-    """
-
-    m: int
-    nodes: np.ndarray
-    weights: np.ndarray
-    exactness: int
 
 
 def _legendre_and_derivative(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -58,16 +41,14 @@ def _legendre_and_derivative(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     return p, dp
 
 
-@lru_cache(maxsize=None)
-def gauss_legendre(m: int) -> QuadratureRule:
-    """Generate the m-point Gauss-Legendre rule on [0,1].
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the m-point Gauss-Legendre rule on [0,1].
 
     Roots are found by Newton iteration started from the Chebyshev-type
     guesses cos(pi (i + 3/4) / (m + 1/2)) and polished until the update falls
-    below 1e-15; weights come from the standard derivative formula.
+    below 1e-15; weights come from the standard derivative formula.  Nodes
+    increase and weights sum to 1.
     """
-    if not 1 <= m <= MAX_RULE_SIZE:
-        raise ValueError(f"rule size must be in 1..{MAX_RULE_SIZE}, got {m}")
     i = np.arange(m)
     x = np.cos(np.pi * (i + 0.75) / (m + 0.5))
     for _ in range(NEWTON_MAX_ITER):
@@ -85,13 +66,20 @@ def gauss_legendre(m: int) -> QuadratureRule:
     weights = (w / 2.0)[::-1].copy()
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(m=m, nodes=nodes, weights=weights, exactness=2 * m - 1)
+    return nodes, weights
 
 
-def _panel_points(rule: QuadratureRule, panels: int) -> tuple[np.ndarray, np.ndarray]:
+@cache
+def _rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 24-point rule of every panel, built once."""
+    return _gauss_legendre(24)
+
+
+def _panel_points(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    nodes, weights = _rule()
     offsets = np.arange(panels, dtype=float)[:, None]
-    pts = ((offsets + rule.nodes[None, :]) / panels).ravel()
-    wts = np.tile(rule.weights / panels, panels)
+    pts = ((offsets + nodes[None, :]) / panels).ravel()
+    wts = np.tile(weights / panels, panels)
     return pts, wts
 
 
@@ -126,7 +114,7 @@ def _refinement(f: "FunctionSpec", n: int, target_tol: float):
 def u_coefficients_numeric(fs: "FunctionSpec | list | tuple", n: int, target_tol: float):
     """The coefficients u_{n,k}(f) by quadrature, endpoints taken exactly.
 
-    A fixed 24-point rule with panel doubling until two successive sweeps of
+    The 24-point rule with panel doubling until two successive sweeps of
     all interior coefficients agree to ``target_tol`` in max norm.  (apply_U
     takes polynomials by the exact path.)  Raises ToleranceError (carrying
     the best estimate) if 2**10 panels are not enough.
@@ -153,10 +141,9 @@ def u_coefficients_numeric(fs: "FunctionSpec | list | tuple", n: int, target_tol
             del pending[i]
 
     advance(None)
-    rule = gauss_legendre(24)
     panels = 1
     while pending:
-        pts, wts = _panel_points(rule, panels)
+        pts, wts = _panel_points(panels)
         advance((pts, wts, bernstein_matrix(n - 2, pts)))
         panels *= 2
     if lone and isinstance(results[0], Exception):

@@ -25,9 +25,11 @@ from gsops.analysis import (
     BERNSTEIN_CONSTANT,
     CONVERSE_CONSTANT,
     CONVERSE_SCALE_FACTOR,
+    DEFAULT_GRID,
     PASS_ATOL,
     PASS_RTOL,
     SQRT3,
+    Sweep,
     _moment_bruteforce_dev,
     bernstein_probe_max_ratio,
     check_bernstein_inequality,
@@ -36,7 +38,6 @@ from gsops.analysis import (
     check_jackson,
     check_voronovskaya,
     distance,
-    dtilde_sup_norm,
     kfunctional_sandwich,
     lebesgue_bound,
     loglog_slope,
@@ -51,7 +52,7 @@ from gsops.exactpoly import (
     commute_check_exact,
     telescope_check_exact,
 )
-from gsops.operators import apply_U, apply_Utilde
+from gsops.operators import DEFAULT_TOL, apply_U, utilde_from_u
 
 EXACT_POLYS = {
     "t2": RationalPoly([0, 0, 1]),
@@ -182,8 +183,9 @@ def test_criterion_5_jackson():
     assert {f.name for f in eligible} == {"one", "t", "t2", "t3", "t5mt2", "exp", "sinpi"}
     all_pass = True
     for f in eligible:
+        sweep = Sweep([f], DEFAULT_GRID, DEFAULT_TOL)
         for n in (2, 4, 8, 16, 32, 64):
-            rep = check_jackson(f, n)
+            rep = check_jackson(f, n, sweep)
             all_pass &= rep.passed
             if f.name == "t2":
                 assert abs(rep.lhs - 1.0 / (2 * n * (n + 1))) <= 1e-10
@@ -198,9 +200,12 @@ def test_criterion_5_jackson():
 def test_criterion_6_voronovskaya():
     all_pass = True
     for name in ("t2", "t3", "exp"):
+        f = get_function(name)
+        sweep = Sweep([f], DEFAULT_GRID, DEFAULT_TOL)
         for n in (2, 4, 8, 16, 32):
-            all_pass &= check_voronovskaya(get_function(name), n).passed
-    rep = check_voronovskaya(get_function("t2"), 2)
+            all_pass &= check_voronovskaya(f, n, sweep).passed
+    t2 = get_function("t2")
+    rep = check_voronovskaya(t2, 2, Sweep([t2], DEFAULT_GRID, DEFAULT_TOL))
     lam2 = math.pi**2 / 6.0 - 1.5  # high-precision tail-sum oracle
     th2 = math.pi**2 / 3.0 - 3.25
     lhs_ok = abs(rep.lhs - abs(1.0 / 3.0 - 4.0 * lam2) / 4.0) <= 1e-9
@@ -217,8 +222,9 @@ def test_criterion_6_voronovskaya():
 def test_criterion_7a_bernstein_bound_catalog_and_probes():
     all_pass = True
     for f in CATALOG.values():
+        sweep = Sweep([f], DEFAULT_GRID, DEFAULT_TOL)
         for n in range(2, 65):
-            all_pass &= check_bernstein_inequality(f, n).passed
+            all_pass &= check_bernstein_inequality(f, n, sweep).passed
     worst_ratio = 0.0
     probes_per_n = 159  # 159 * 63 = 10017 seeded probes
     for n in range(2, 65):
@@ -336,7 +342,7 @@ NS_STATED = (4, 8, 16, 32, 64)
 
 def rate_fit(f, ns, operator):
     """Slope of log ||Op_n f - f|| against log n, and the (n, error) rows."""
-    op = apply_U if operator == "U" else apply_Utilde
+    op = apply_U if operator == "U" else (lambda f, n: utilde_from_u(apply_U(f, n)))
     rows = [(n, distance(op(f, n), f)) for n in ns]
     return loglog_slope(f.name, rows), rows
 
@@ -390,7 +396,7 @@ def _voronovskaya_slope_interval(d2: float, d3: float, ns) -> tuple[float, float
     If some rho_i >= 1 the error may vanish there and no interval exists.
 
     ``d2`` and ``d3`` are the sup norms of Dtilde^2 f and Dtilde^3 f; the callers
-    pass dtilde_sup_norm values, which are grid estimates (refined maxima over
+    pass Sweep.dtilde_norm values, which are grid estimates (refined maxima over
     a Chebyshev grid), so the interval is certified up to those estimates.
     """
     x = np.log(np.asarray(ns, dtype=float))
@@ -442,7 +448,8 @@ def test_criterion_9b_rate_windows_as_stated(criterion_9_slopes):
     stated_certified = set()
     for name in ("t2", "exp", "sinpi"):
         f = get_function(name)
-        d2, d3 = dtilde_sup_norm(f, 2), dtilde_sup_norm(f, 3)
+        sweep = Sweep([f], DEFAULT_GRID, DEFAULT_TOL)
+        d2, d3 = sweep.dtilde_norm(f, 2), sweep.dtilde_norm(f, 3)
 
         stated = _voronovskaya_slope_interval(d2, d3, NS_STATED)
         if stated is not None:
@@ -477,18 +484,19 @@ def test_criterion_10_sandwich_direct_converse():
     worst = ""
     for name in sorted(CATALOG):
         f = get_function(name)
+        sweep = Sweep([f], DEFAULT_GRID, DEFAULT_TOL)
         for n in (2, 4, 8):
-            sw = kfunctional_sandwich(f, n)
-            err_n = sup_norm(lambda x, p=apply_Utilde(f, n): p.eval(x) - f.eval(x)).value
+            sw = kfunctional_sandwich(f, n, sweep)
+            err_n = sup_norm(lambda x, p=utilde_from_u(apply_U(f, n)): p.eval(x) - f.eval(x)).value
             sandwich_ok = within(sw.lower, sw.upper)
             direct_ok = within(err_n, (1.0 + SQRT3) * sw.upper)
-            main, iterate = check_converse(f, n, 16 * n)
+            main, iterate = check_converse(f, n, 16 * n, sweep)
             if not (sandwich_ok and direct_ok and main.passed and iterate.passed):
                 all_ok = False
                 worst = f"{name} n={n}"
     # the scale threshold is enforced: ell = 15 n < ceil(L n) must be rejected
     with pytest.raises(PreconditionError):
-        check_converse(get_function("t2"), 4, 15 * 4)
+        check_converse(get_function("t2"), 4, 15 * 4, Sweep([], DEFAULT_GRID, DEFAULT_TOL))
     assert math.ceil(CONVERSE_SCALE_FACTOR * 4) <= 64  # ell = 16n passes the gate
     assert CONVERSE_CONSTANT == pytest.approx(4.0 + SQRT3 + BERNSTEIN_CONSTANT**2)
     announce("10 sandwich + direct + converse", all_ok,

@@ -9,9 +9,11 @@ from gsops.analysis import (
     BERNSTEIN_CONSTANT,
     CONVERSE_CONSTANT,
     CONVERSE_SCALE_FACTOR,
+    DEFAULT_GRID,
     InequalityReport,
     SQRT3,
     StrictReport,
+    Sweep,
     bernstein_probe_max_ratio,
     check_bernstein_inequality,
     check_bernstein_probes,
@@ -24,10 +26,10 @@ from gsops.analysis import (
     check_jackson,
     check_voronovskaya,
     distance,
-    dtilde_sup_norm,
     kfunctional_sandwich,
     lebesgue_bound,
     loglog_slope,
+    rate_errors,
     sup_norm,
 )
 from gsops.basis import tail_sums
@@ -35,15 +37,22 @@ from gsops.catalog import catalog_names, get_function, polynomial_function
 from gsops.errors import PreconditionError
 from gsops.exactpoly import ExactBernsteinForm, RationalPoly, dtilde_exact
 from gsops.operators import (
+    DEFAULT_TOL,
     BernsteinForm,
     apply_U,
     apply_U_to_form,
-    apply_Utilde,
+    apply_Utilde_to_form,
     dtilde_form,
+    utilde_from_u,
 )
 
 T2 = RationalPoly([0, 0, 1])
 T3 = RationalPoly([0, 0, 0, 1])
+
+
+def fresh_sweep(*fs) -> Sweep:
+    """A Sweep of fs alone, on the CLI's default grid and tolerance."""
+    return Sweep(fs, DEFAULT_GRID, DEFAULT_TOL)
 
 
 def bernstein_form_from_poly(q: RationalPoly, n: int) -> BernsteinForm:
@@ -72,7 +81,7 @@ def test_sup_norm_parabola():
 def test_sup_norm_operator_error_closed_form():
     # Utilde_3 t^2 - t^2 = phi/6, sup = 1/24
     f = get_function("t2")
-    p = apply_Utilde(f, 3)
+    p = utilde_from_u(apply_U(f, 3))
     est = sup_norm(lambda x: p.eval(x) - f.eval(x))
     assert est.value == pytest.approx(1.0 / 24.0, abs=1e-13)
 
@@ -133,7 +142,8 @@ def test_lebesgue_bound_domain():
 @pytest.mark.parametrize("name", ["t2", "t3", "t5mt2", "exp", "sinpi"])
 @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
 def test_contraction_U(name, n):
-    rep = check_contraction_U(get_function(name), n)
+    f = get_function(name)
+    rep = check_contraction_U(f, n, fresh_sweep(f))
     assert rep.passed
 
 
@@ -141,25 +151,28 @@ def test_contraction_U(name, n):
 
 
 def test_jackson_t2_n4_closed_values():
-    rep = check_jackson(get_function("t2"), 4)
+    f = get_function("t2")
+    rep = check_jackson(f, 4, fresh_sweep(f))
     assert rep.lhs == pytest.approx(0.025, abs=1e-12)  # 1/(2*4*5)
     assert rep.rhs == pytest.approx(0.0625, abs=1e-12)  # (1/16) * ||-4 phi||
     assert rep.passed
 
 
 def test_jackson_linear_trivial():
-    rep = check_jackson(get_function("t"), 8)
+    f = get_function("t")
+    rep = check_jackson(f, 8, fresh_sweep(f))
     assert rep.lhs <= 1e-13 and rep.passed
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
 def test_jackson_t3_sweep(n):
-    assert check_jackson(get_function("t3"), n).passed
+    f = get_function("t3")
+    assert check_jackson(f, n, fresh_sweep(f)).passed
 
 
 def test_jackson_rejects_rough_function():
     with pytest.raises(PreconditionError):
-        check_jackson(get_function("abs52"), 4)
+        check_jackson(get_function("abs52"), 4, fresh_sweep())
 
 
 # -- Voronovskaya ------------------------------------------------------------------
@@ -167,26 +180,29 @@ def test_jackson_rejects_rough_function():
 
 def test_voronovskaya_t2_n2_oracle_values():
     ts = tail_sums(2)
-    rep = check_voronovskaya(get_function("t2"), 2)
+    f = get_function("t2")
+    rep = check_voronovskaya(f, 2, fresh_sweep(f))
     assert rep.lhs == pytest.approx(abs(1.0 / 3.0 - 4.0 * ts.lam) / 4.0, abs=1e-9)
     assert rep.rhs == pytest.approx(2.0 * ts.theta, abs=1e-9)
     assert rep.passed
 
 
 def test_voronovskaya_linear_trivial():
-    rep = check_voronovskaya(get_function("t"), 4)
+    f = get_function("t")
+    rep = check_voronovskaya(f, 4, fresh_sweep(f))
     assert rep.lhs <= 1e-13 and rep.passed
 
 
 @pytest.mark.parametrize("name", ["t2", "t3", "exp"])
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
 def test_voronovskaya_sweep(name, n):
-    assert check_voronovskaya(get_function(name), n).passed
+    f = get_function(name)
+    assert check_voronovskaya(f, n, fresh_sweep(f)).passed
 
 
 def test_voronovskaya_rejects_rough_function():
     with pytest.raises(PreconditionError):
-        check_voronovskaya(get_function("abs52"), 4)
+        check_voronovskaya(get_function("abs52"), 4, fresh_sweep())
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 32])
@@ -195,7 +211,7 @@ def test_voronovskaya_sharpened_residual_t2(n):
     # (2/(n(n+1)) - 4 lambda(n)) phi
     f = get_function("t2")
     ts = tail_sums(n)
-    p = apply_Utilde(f, n)
+    p = utilde_from_u(apply_U(f, n))
     coeff = 2.0 / (n * (n + 1)) - 4.0 * ts.lam
     xs = np.linspace(0.0, 1.0, 4001)
     residual = p.eval(xs) - xs**2 + ts.lam * (-4.0 * xs * (1 - xs))
@@ -206,12 +222,14 @@ def test_voronovskaya_sharpened_residual_t2(n):
 
 
 def test_bernstein_constant_function():
-    rep = check_bernstein_inequality(get_function("one"), 4)
+    f = get_function("one")
+    rep = check_bernstein_inequality(f, 4, fresh_sweep(f))
     assert rep.lhs <= 1e-14 and rep.passed
 
 
 def test_bernstein_t2_n4_margin():
-    rep = check_bernstein_inequality(get_function("t2"), 4)
+    f = get_function("t2")
+    rep = check_bernstein_inequality(f, 4, fresh_sweep(f))
     # Dtilde(x^2 + phi/10) = 1.8 phi, sup 0.45
     assert rep.lhs == pytest.approx(0.45, abs=1e-12)
     assert rep.rhs - rep.lhs > 30.0  # ||f|| = 1
@@ -220,7 +238,8 @@ def test_bernstein_t2_n4_margin():
 @pytest.mark.parametrize("name", sorted(catalog_names()))
 @pytest.mark.parametrize("n", [2, 7, 33])
 def test_bernstein_catalog_sweep(name, n):
-    assert check_bernstein_inequality(get_function(name), n).passed
+    f = get_function(name)
+    assert check_bernstein_inequality(f, n, fresh_sweep(f)).passed
 
 
 @pytest.mark.parametrize("n", [2, 5, 16, 64])
@@ -291,7 +310,8 @@ def test_c_bound_value_n9():
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
 def test_sandwich_t2_upper_at_most_smooth_candidate(n):
-    sw = kfunctional_sandwich(get_function("t2"), n)
+    f = get_function("t2")
+    sw = kfunctional_sandwich(f, n, fresh_sweep(f))
     # candidate g = f gives ||Dtilde^2 t^2|| / n^2 = 1/n^2
     assert sw.upper <= 1.0 / n**2 * (1 + 1e-9) + 1e-12
     assert sw.t == pytest.approx(1.0 / n**2, abs=0.0)
@@ -301,65 +321,74 @@ def test_sandwich_t2_n2_exact_tie_at_one_quarter():
     # Utilde_m reproduces t^2 up to rounding, so at t = 1/4 the candidates
     # Utilde_2^3 f, Utilde_4^3 f and f itself all cost ||Dtilde^2 t^2|| / 4 = 1/4
     # in exact arithmetic; the last bit picks the winner shown in the note
-    from gsops.analysis import DEFAULT_GRID, _iterate_norms
-    from gsops.operators import DEFAULT_TOL
-
     f = get_function("t2")
     t = 0.25
     costs = {}
     for m in (2, 4):
-        dist, d2 = _iterate_norms(f, m, DEFAULT_GRID, DEFAULT_TOL, {})
+        dist, d2 = fresh_sweep(f).iterate_norms(f, m)
         costs[f"utilde3_m{m}"] = dist + t * d2
-    costs["f_itself"] = t * dtilde_sup_norm(f, 2)
+    costs["f_itself"] = t * fresh_sweep(f).dtilde_norm(f, 2)
     for cost in costs.values():
         assert abs(cost - 0.25) <= 4 * np.spacing(0.25)
-    sw = kfunctional_sandwich(f, 2)
+    sw = kfunctional_sandwich(f, 2, fresh_sweep(f))
     assert sw.upper == min(costs.values()) and costs[sw.candidate_id] == sw.upper
 
 
 @pytest.mark.parametrize("name", ["t2", "exp", "abs52"])
 def test_sandwich_memo_shared_across_n_changes_nothing(name):
-    # a sweep hands one sweep_memo to every f and n; each call must report
-    # what a call with a fresh memo reports, bit for bit, whichever function
-    # of the sweep misses first and so fills the memo for its siblings
-    from gsops.analysis import DEFAULT_GRID, _iterate_norms, sweep_memo
-    from gsops.operators import DEFAULT_TOL, apply_Utilde_to_form
-
+    # a run hands one Sweep to every check of every f and n; each check must
+    # report what it reports with a fresh Sweep of f alone, bit for bit,
+    # whichever function of the run misses first and so fills the Sweep for
+    # its siblings
     f = get_function(name)
     siblings = [get_function(other) for other in ("t2", "exp", "abs52") if other != name]
-    memo = sweep_memo([f, *siblings])
-    for n in (2, 4):
-        assert check_converse(f, n, 32 * n, memo=memo) == check_converse(f, n, 32 * n)
-        assert check_direct(f, n, memo=memo) == check_direct(f, n)
-    for g in siblings:
-        assert check_converse(g, 2, 64, memo=memo) == check_converse(g, 2, 64, memo={})
+    shared = Sweep([f, *siblings], DEFAULT_GRID, DEFAULT_TOL)
+
+    def outcome(check, g, *args, sweep):
+        try:
+            return repr(check(g, *args, sweep))
+        except PreconditionError as exc:
+            return f"skip: {exc}"
+
+    checks = [
+        (check_converse, 32), (check_direct, None), (kfunctional_sandwich, None), (rate_errors, None),
+        (check_interpolation, None), (check_contraction_U, None), (check_jackson, None),
+        (check_voronovskaya, None), (check_bernstein_inequality, None),
+    ]
+    for g, ns in ((f, (2, 4)), *((sibling, (2,)) for sibling in siblings)):
+        for n in ns:
+            for check, ell_mult in checks:
+                args = (n,) if ell_mult is None else (n, ell_mult * n)
+                assert outcome(check, g, *args, sweep=shared) == outcome(check, g, *args, sweep=fresh_sweep(g))
     for m in (2, 4, 8):
-        # the memoized candidate norms are those of Utilde_m^3 f built afresh
-        g = apply_Utilde_to_form(apply_Utilde_to_form(apply_Utilde(f, m), m), m)
+        # the stored candidate norms are those of Utilde_m^3 f built afresh
+        g = apply_Utilde_to_form(apply_Utilde_to_form(utilde_from_u(apply_U(f, m)), m), m)
         fresh = (distance(g, f), sup_norm(dtilde_form(dtilde_form(g))).value)
-        assert _iterate_norms(f, m, DEFAULT_GRID, DEFAULT_TOL, memo) == fresh
+        assert shared.iterate_norms(f, m) == fresh
 
 
 def test_sandwich_memo_keeps_specs_with_one_name_apart():
-    # a memo is keyed by the function spec, so two specs that share a name
+    # a Sweep is keyed by the function spec, so two specs that share a name
     # never read each other's operator outputs or norms
     square = polynomial_function("q", [0, 0, 1])
     cube = polynomial_function("q", [0, 0, 0, 1])
-    memo: dict = {}
-    assert check_direct(square, 4, memo=memo) == check_direct(square, 4)
-    assert check_direct(cube, 4, memo=memo) == check_direct(cube, 4)
-    assert check_converse(cube, 4, 128, memo=memo) == check_converse(cube, 4, 128)
+    shared = fresh_sweep(square, cube)
+    assert check_direct(square, 4, shared) == check_direct(square, 4, fresh_sweep(square))
+    assert check_direct(cube, 4, shared) == check_direct(cube, 4, fresh_sweep(cube))
+    assert check_converse(cube, 4, 128, shared) == check_converse(cube, 4, 128, fresh_sweep(cube))
 
 
 def test_sandwich_t2_n4_lower_value():
-    sw = kfunctional_sandwich(get_function("t2"), 4)
+    f = get_function("t2")
+    sw = kfunctional_sandwich(f, 4, fresh_sweep(f))
     assert sw.lower == pytest.approx((1.0 / 40.0) / (1.0 + SQRT3), abs=1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(catalog_names()))
 @pytest.mark.parametrize("n", [2, 8, 64])
 def test_sandwich_consistent(name, n):
-    sw = kfunctional_sandwich(get_function(name), n)
+    f = get_function(name)
+    sw = kfunctional_sandwich(f, n, fresh_sweep(f))
     assert sw.lower <= sw.upper * (1 + 1e-9) + 1e-12
     assert sw.candidate_id
 
@@ -367,12 +396,12 @@ def test_sandwich_consistent(name, n):
 def test_direct_inequality():
     for name in ("t2", "exp", "abs52"):
         f = get_function(name)
-        sandwich, direct = check_direct(f, 4)
+        sandwich, direct = check_direct(f, 4, fresh_sweep(f))
         assert (sandwich.name, direct.name) == ("kf_sandwich", "direct")
         assert sandwich.passed and direct.passed
         # one sandwich: the direct row's lhs is its error, the sandwich's lhs its lower bound
-        sw = kfunctional_sandwich(f, 4)
-        assert direct.lhs == sw.err == distance(apply_Utilde(f, 4), f)
+        sw = kfunctional_sandwich(f, 4, fresh_sweep(f))
+        assert direct.lhs == sw.err == distance(utilde_from_u(apply_U(f, 4)), f)
         assert sandwich.lhs == sw.lower == sw.err / (1.0 + SQRT3)
         assert (sandwich.rhs, direct.rhs) == (sw.upper, (1.0 + SQRT3) * sw.upper)
 
@@ -382,16 +411,17 @@ def test_direct_inequality():
 
 def test_converse_uses_the_sandwich_error():
     f = get_function("exp")
-    main, iterate = check_converse(f, 2, 32)
-    sw = kfunctional_sandwich(f, 2)
-    err_ell = distance(apply_Utilde(f, 32), f)
+    main, iterate = check_converse(f, 2, 32, fresh_sweep(f))
+    sw = kfunctional_sandwich(f, 2, fresh_sweep(f))
+    err_ell = distance(utilde_from_u(apply_U(f, 32)), f)
     assert main.lhs == sw.upper
     assert main.rhs == CONVERSE_CONSTANT * (32 / 2) ** 2 * (sw.err + err_ell)
     assert iterate.rhs == (4.0 + SQRT3) * sw.err
 
 
 def test_converse_t2_n2_huge_margin():
-    main, iterate = check_converse(get_function("t2"), 2, 32)
+    f = get_function("t2")
+    main, iterate = check_converse(f, 2, 32, fresh_sweep(f))
     assert main.passed and iterate.passed
     assert main.lhs <= 0.25
     assert main.rhs > main.lhs * 10  # enormous margin
@@ -399,19 +429,21 @@ def test_converse_t2_n2_huge_margin():
 
 
 def test_converse_linear_trivial():
-    main, iterate = check_converse(get_function("t"), 2, 32)
+    f = get_function("t")
+    main, iterate = check_converse(f, 2, 32, fresh_sweep(f))
     assert main.passed and iterate.passed
     assert main.lhs <= 1e-12
 
 
 def test_converse_rough_function():
-    main, iterate = check_converse(get_function("abs52"), 4, 64)
+    f = get_function("abs52")
+    main, iterate = check_converse(f, 4, 64, fresh_sweep(f))
     assert main.passed and iterate.passed
 
 
 def test_converse_threshold_enforced():
     with pytest.raises(PreconditionError, match="ceil"):
-        check_converse(get_function("t2"), 4, 32)  # needs ell >= 64
+        check_converse(get_function("t2"), 4, 32, fresh_sweep())  # needs ell >= 64
 
 
 # -- rates -------------------------------------------------------------------------
@@ -422,7 +454,7 @@ NS = (4, 8, 16, 32, 64)
 
 def rate_fit(f, ns, operator="Utilde"):
     """Slope of log ||Op_n f - f|| against log n, and the (n, error) rows."""
-    op = apply_U if operator == "U" else apply_Utilde
+    op = apply_U if operator == "U" else (lambda f, n: utilde_from_u(apply_U(f, n)))
     rows = [(n, distance(op(f, n), f)) for n in ns]
     return loglog_slope(f.name, rows), rows
 
@@ -482,9 +514,9 @@ def test_series_representation_float_pipeline():
     for k in range(n, N + 1):
         term = dtilde_form(apply_U_to_form(df_form, k + 1))
         acc += term.eval(xs) / (k * k * (k + 1))
-    p = apply_Utilde(f, n)
+    p = utilde_from_u(apply_U(f, n))
     resid = p.eval(xs) - f.eval(xs) + acc
-    d2_sup = dtilde_sup_norm(f, 2)
+    d2_sup = fresh_sweep(f).dtilde_norm(f, 2)
     assert float(np.max(np.abs(resid))) <= d2_sup * tail_sums(N + 1).lam
 
 
@@ -531,7 +563,8 @@ def test_float_identities_rows():
 
 @pytest.mark.parametrize(("name", "rows"), [("t", 2), ("one", 2), ("t2", 1), ("abs52", 1)])
 def test_check_interpolation_rows(name, rows):
-    reports = check_interpolation(get_function(name), 5)
+    f = get_function(name)
+    reports = check_interpolation(f, 5, fresh_sweep(f))
     assert [r.name for r in reports] == ["endpoint_interp", "linear_reproduction"][:rows]
     assert all(r.passed for r in reports)
 

@@ -270,9 +270,9 @@ def test_stdout_output(capsys):
 
 def test_eval_round_trip(tmp_path):
     from gsops.catalog import get_function
-    from gsops.operators import apply_Utilde
+    from gsops.operators import apply_U, utilde_from_u
 
-    form = apply_Utilde(get_function("t2"), 3)
+    form = utilde_from_u(apply_U(get_function("t2"), 3))
     form_path = tmp_path / "form.json"
     form_path.write_text(json.dumps(form.to_json_dict()), encoding="utf-8")
     code, text = run_cli(tmp_path, "eval", "--form", str(form_path), "--points", "0,0.5,1")
@@ -391,6 +391,18 @@ def test_oversized_sizes_are_usage_errors(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, where):
+    # the rows are computed, but an --out that cannot be opened for writing
+    # is a configuration error, not a violated check
+    out = tmp_path if where == "a directory" else tmp_path / "missing" / "out.csv"
+    assert main(["table", "--fns", "t2", "--n", "4,8,16,32", "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gsops: configuration error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_csv_note_with_comma_keeps_the_header_width():
     # the note names u_{4,k}, whose comma is quoted
     cfg = config_from_args(build_parser().parse_args(["voronovskaya", "--fns", "exp", "--n", "4"]))
@@ -461,6 +473,20 @@ def test_cli_defines_no_check():
     assert bound == []
     source = Path(gsops.cli.__file__).read_text(encoding="utf-8")
     assert "InequalityReport(" not in source
+
+
+def test_analysis_takes_operator_outputs_from_the_sweep():
+    # U_n f and Utilde_n f are built in analysis.Sweep alone, which computes
+    # each once per run; no other function of gsops.analysis reads a builder
+    builders = {"apply_U", "utilde_from_u", "u_coefficients_numeric"}
+    readers = set()
+    for node in _module_trees()["analysis"].body:
+        if isinstance(node, ast.ClassDef) and node.name == "Sweep":
+            continue
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Name) and inner.id in builders:
+                readers.add(getattr(node, "name", "<module>"))
+    assert sorted(readers) == []
 
 
 def _names_used(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -559,7 +585,7 @@ def test_every_public_name_has_one_home():
         # the kf_sandwich and direct rows built from one sandwich, whose error
         # is the direct row's lhs; the t2, n = 2 notes rest on a last-bit tie
         ["kfunc", "--fns", "t2,exp,abs52", "--n", "2:2:5", "--ell-mult", "16"],
-        # err_ell and iterate_contraction read from the sweep's memo
+        # err_ell and iterate_contraction read from the run's Sweep
         ["converse", "--fns", "t2,exp,abs52", "--n", "2:2:5", "--ell-mult", "16"],
         # the Voronovskaya margins of every catalog function up to n = 256
         ["voronovskaya", "--n", "16:2:5"],
@@ -649,14 +675,30 @@ def test_traced_sweep_builds_one_quadrature_basis_per_panel_count(tmp_path):
     assert 0 < counters.get("quadrature.nodes", 0) <= 840
 
 
-@pytest.mark.parametrize(("command", "most"), [("kfunc", 72), ("converse", 87)], ids=["kfunc", "converse"])
-def test_sandwich_sweep_takes_each_norm_once(tmp_path, monkeypatch, command, most):
+@pytest.mark.parametrize(
+    ("command", "most", "quadratures"),
+    [
+        ("kfunc", 72, None),
+        ("converse", 87, None),
+        ("verify", 35, 5),
+        ("voronovskaya", 12, 5),
+        ("norms", 23, 5),
+        ("table", 32, 5),
+    ],
+    ids=["kfunc", "converse", "verify", "voronovskaya", "norms", "table"],
+)
+def test_sandwich_sweep_takes_each_norm_once(tmp_path, monkeypatch, command, most, quadratures):
     # half of the 145 (kfunc) and 175 (converse) sup norms of a sweep that
-    # recomputes the candidates of every n and Utilde_n^3 f for converse
+    # recomputes the candidates of every n and Utilde_n^3 f for converse;
+    # verify, voronovskaya and norms made 55, 20 and 35 while they took
+    # U_n f once per check and ||Dtilde^ell f|| and ||f|| once per n.  With
+    # one Sweep per run, verify, norms and table take U_n f of exp and abs52
+    # in one quadrature call per n (25, 10 and 10 when each check ran its own),
+    # and voronovskaya that of exp
     import gsops.analysis
-    import gsops.cli
+    import gsops.operators
 
-    calls = []
+    calls, quadrature_calls = [], []
     plain = gsops.analysis.sup_norm
 
     def counting(*args, **kwargs):
@@ -665,9 +707,17 @@ def test_sandwich_sweep_takes_each_norm_once(tmp_path, monkeypatch, command, mos
 
     monkeypatch.setattr(gsops.analysis, "sup_norm", counting)
     monkeypatch.setattr(gsops.cli, "sup_norm", counting, raising=False)
+    for module in (gsops.analysis, gsops.operators):
+        def counting_quadrature(*args, _plain=module.u_coefficients_numeric, **kwargs):
+            quadrature_calls.append(args[1])
+            return _plain(*args, **kwargs)
+
+        monkeypatch.setattr(module, "u_coefficients_numeric", counting_quadrature)
     argv = [command, "--fns", "t2,exp,abs52", "--n", "2:2:5", "--ell-mult", "16", "--seed", "1"]
     assert main([*argv, "--out", str(tmp_path / "out.csv")]) == EXIT_OK
     assert 0 < len(calls) <= most
+    if quadratures is not None:
+        assert len(quadrature_calls) <= quadratures
 
 
 # -- fuzz: every command over bounded inputs ----------------------------------------------

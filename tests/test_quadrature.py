@@ -1,4 +1,4 @@
-"""Tests for the Gauss-Legendre rules and numeric operator coefficients."""
+"""Tests for the Gauss-Legendre rule and numeric operator coefficients."""
 
 import math
 
@@ -8,48 +8,63 @@ import pytest
 from gsops.catalog import FunctionSpec, get_function, polynomial_function
 from gsops.errors import IntegrationError, ToleranceError
 from gsops.exactpoly import u_coefficients_exact
-from gsops.quadrature import gauss_legendre, u_coefficients_numeric
+from gsops.quadrature import _gauss_legendre, _rule, u_coefficients_numeric
 
 EPS = float(np.finfo(float).eps)
 
 
+def test_the_24_point_rule():
+    # the one rule of every panel: exact through degree 47, symmetric about
+    # 1/2, positive weights that sum to 1, built once and read-only
+    nodes, weights = _rule()
+    assert _rule() is _rule()
+    assert nodes.shape == weights.shape == (24,)
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    assert np.all(np.diff(nodes) > 0) and np.all(weights > 0)
+    assert abs(float(np.sum(weights)) - 1.0) <= 4 * 24 * EPS
+    assert np.max(np.abs(nodes + nodes[::-1] - 1.0)) <= 4 * EPS
+    assert np.max(np.abs(weights - weights[::-1])) <= 4 * EPS
+    for d in range(48):
+        got = float(np.dot(weights, nodes**d))
+        assert abs(got - 1.0 / (d + 1)) <= 1e-13 / (d + 1)
+
+
 def test_midpoint_rule():
-    rule = gauss_legendre(1)
-    assert rule.nodes == pytest.approx([0.5], abs=1e-16)
-    assert rule.weights == pytest.approx([1.0], abs=1e-15)
-    assert rule.exactness == 1
+    nodes, weights = _gauss_legendre(1)
+    assert nodes == pytest.approx([0.5], abs=1e-16)
+    assert weights == pytest.approx([1.0], abs=1e-15)
 
 
 def test_two_point_rule_textbook():
-    rule = gauss_legendre(2)
+    nodes, weights = _gauss_legendre(2)
     r = 1.0 / math.sqrt(3.0)
-    assert rule.nodes == pytest.approx([(1 - r) / 2, (1 + r) / 2], abs=1e-15)
-    assert rule.weights == pytest.approx([0.5, 0.5], abs=1e-15)
+    assert nodes == pytest.approx([(1 - r) / 2, (1 + r) / 2], abs=1e-15)
+    assert weights == pytest.approx([0.5, 0.5], abs=1e-15)
 
 
 def test_five_point_integrates_x9():
-    rule = gauss_legendre(5)
-    got = float(rule.weights @ rule.nodes**9)
+    nodes, weights = _gauss_legendre(5)
+    got = float(weights @ nodes**9)
     assert abs(got - 0.1) <= 1e-14  # exact value 1/10
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 13, 20, 64, 128, 512])
 def test_rule_structure(m):
-    rule = gauss_legendre(m)
-    assert rule.nodes.shape == (m,) and rule.weights.shape == (m,)
-    assert np.all(np.diff(rule.nodes) > 0)
-    assert np.all(rule.weights > 0)
-    assert abs(float(np.sum(rule.weights)) - 1.0) <= 4 * m * EPS
+    nodes, weights = _gauss_legendre(m)
+    assert nodes.shape == (m,) and weights.shape == (m,)
+    assert np.all(np.diff(nodes) > 0)
+    assert np.all(weights > 0)
+    assert abs(float(np.sum(weights)) - 1.0) <= 4 * m * EPS
     # symmetry about 1/2
-    assert np.max(np.abs(rule.nodes + rule.nodes[::-1] - 1.0)) <= 4 * EPS
-    assert np.max(np.abs(rule.weights - rule.weights[::-1])) <= 4 * EPS
+    assert np.max(np.abs(nodes + nodes[::-1] - 1.0)) <= 4 * EPS
+    assert np.max(np.abs(weights - weights[::-1])) <= 4 * EPS
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 9, 16, 33])
 def test_exactness_all_monomials(m):
-    rule = gauss_legendre(m)
+    nodes, weights = _gauss_legendre(m)
     for d in range(2 * m):
-        got = float(np.dot(rule.weights, rule.nodes**d))
+        got = float(np.dot(weights, nodes**d))
         assert abs(got - 1.0 / (d + 1)) <= 1e-13 / (d + 1)
 
 
@@ -58,33 +73,26 @@ def test_against_numpy_leggauss(m):
     # independent oracle: numpy's Gauss-Legendre, mapped to [0,1]; the
     # smallest edge weights agree relatively (both routes round differently)
     x, w = np.polynomial.legendre.leggauss(m)
-    rule = gauss_legendre(m)
-    assert rule.nodes == pytest.approx((x + 1) / 2, abs=5e-15)
-    assert rule.weights == pytest.approx(w / 2, rel=1e-9)
+    nodes, weights = _gauss_legendre(m)
+    assert nodes == pytest.approx((x + 1) / 2, abs=5e-15)
+    assert weights == pytest.approx(w / 2, rel=1e-9)
 
 
 @pytest.mark.parametrize("m", [128, 512])
 def test_exactness_sampled_degrees_large_rules(m):
-    rule = gauss_legendre(m)
+    nodes, weights = _gauss_legendre(m)
     for d in (0, 1, 3, 17, 100, 255, 2 * m - 1):
-        got = float(np.dot(rule.weights, rule.nodes**d))
+        got = float(np.dot(weights, nodes**d))
         assert abs(got - 1.0 / (d + 1)) <= 1e-13 / (d + 1)
 
 
-def test_rule_size_domain():
-    with pytest.raises(ValueError):
-        gauss_legendre(0)
-    with pytest.raises(ValueError):
-        gauss_legendre(513)
-
-
 def test_integrate_examples():
-    rule = gauss_legendre(4)
-    assert float(rule.weights @ np.ones_like(rule.nodes)) == pytest.approx(1.0, abs=1e-15)
-    rule = gauss_legendre(2)
-    assert float(rule.weights @ rule.nodes**2) == pytest.approx(1 / 3, abs=1e-15)
-    rule = gauss_legendre(16)
-    got = float(rule.weights @ np.exp(rule.nodes))
+    nodes, weights = _gauss_legendre(4)
+    assert float(weights @ np.ones_like(nodes)) == pytest.approx(1.0, abs=1e-15)
+    nodes, weights = _gauss_legendre(2)
+    assert float(weights @ nodes**2) == pytest.approx(1 / 3, abs=1e-15)
+    nodes, weights = _gauss_legendre(16)
+    got = float(weights @ np.exp(nodes))
     assert abs(got - (math.e - 1.0)) <= 1e-13
 
 
@@ -180,19 +188,20 @@ def test_failing_sibling_raises_only_from_its_own_call():
 
 
 def test_failing_sibling_in_a_sweep_raises_only_from_its_own_check():
-    from gsops.analysis import check_direct, sweep_memo
+    from gsops.analysis import DEFAULT_GRID, Sweep, check_direct
+    from gsops.operators import DEFAULT_TOL
 
     exp, pole = get_function("exp"), _pole()
-    memo = sweep_memo([exp, pole])
-    assert check_direct(exp, 2, memo=memo) == check_direct(exp, 2)
-    assert not any(key[1] is pole for key in memo if isinstance(key, tuple))
+    sweep = Sweep([exp, pole], DEFAULT_GRID, DEFAULT_TOL)
+    assert check_direct(exp, 2, sweep) == check_direct(exp, 2, Sweep([exp], DEFAULT_GRID, DEFAULT_TOL))
+    assert not any(key[1] is pole for key in sweep._values)
     with pytest.raises(IntegrationError, match="'pole' non-finite"):
-        check_direct(pole, 2, memo=memo)
+        check_direct(pole, 2, sweep)
     # the other way round, exp is stored although the call that computed it raised
-    memo = sweep_memo([pole, exp])
+    sweep = Sweep([pole, exp], DEFAULT_GRID, DEFAULT_TOL)
     with pytest.raises(IntegrationError, match="'pole' non-finite"):
-        check_direct(pole, 2, memo=memo)
-    assert [key[:3] for key in memo if isinstance(key, tuple)] == [("Utilde", exp, 2)]
+        check_direct(pole, 2, sweep)
+    assert list(sweep._values) == [("U", exp, 2)]
 
 
 def test_batched_tolerance_error_is_the_lone_one():

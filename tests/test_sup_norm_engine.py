@@ -36,9 +36,9 @@ from gsops.catalog import catalog_names, get_function
 from gsops.operators import (
     BernsteinForm,
     apply_U,
-    apply_Utilde,
     dtilde_form,
     dtilde_of_function,
+    utilde_from_u,
 )
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -255,6 +255,11 @@ def test_sup_norm_random_forms_match_full_pass(seed):
     assert_same_as_full_pass(Residual(form, f.eval), lambda xs: form.eval(xs) - f.eval(xs))
 
 
+def apply_Utilde(f, n):
+    """Utilde_n f, built from U_n f."""
+    return utilde_from_u(apply_U(f, n))
+
+
 @pytest.mark.parametrize("name", ["one", "t"])
 @pytest.mark.parametrize("apply", [apply_U, apply_Utilde])
 def test_sup_norm_flat_operator_errors_match_full_pass(name, apply):
@@ -282,7 +287,7 @@ def test_sup_norm_mirror_symmetric_maxima_match_full_pass():
 def test_sup_norm_voronovskaya_residual_matches_full_pass(name, n):
     f = get_function(name)
     lam = tail_sums(n).lam
-    p = apply_Utilde(f, n)
+    p = utilde_from_u(apply_U(f, n))
     d2f = dtilde_of_function(f, 2)
     assert_same_as_full_pass(
         Residual(p, f.eval, d2f, lam), lambda xs: p.eval(xs) - f.eval(xs) + lam * d2f(xs)
@@ -294,7 +299,7 @@ def test_sup_norm_voronovskaya_residual_matches_full_pass(name, n):
 
 def test_residual_call_is_the_lambda():
     f = get_function("exp")
-    p = apply_Utilde(f, 9)
+    p = utilde_from_u(apply_U(f, 9))
     d2f = dtilde_of_function(f, 2)
     xs = np.linspace(0.0, 1.0, 101)
     assert np.array_equal(Residual(p)(xs), p.eval(xs))
@@ -341,7 +346,7 @@ def test_lookahead_voronovskaya_residual_matches_sequential_walk(name, n, grid_s
     # grid 2001 is test_sup_norm_voronovskaya_residual_matches_full_pass
     f = get_function(name)
     lam = tail_sums(n).lam
-    p = apply_Utilde(f, n)
+    p = utilde_from_u(apply_U(f, n))
     d2f = dtilde_of_function(f, 2)
     assert_same_as_full_pass(
         Residual(p, f.eval, d2f, lam), lambda xs: p.eval(xs) - f.eval(xs) + lam * d2f(xs), grid_size
@@ -445,7 +450,7 @@ def test_grid_basis_cache_hit_returns_the_same_array():
 def test_module_cache_within_budget_after_a_sweep():
     f = get_function("exp")
     for n in (16, 64, 256, 512):
-        sup_norm(Residual(apply_Utilde(f, n), f.eval))
+        sup_norm(Residual(utilde_from_u(apply_U(f, n)), f.eval))
         assert _GRID_BASES.nbytes <= GRID_BASIS_BUDGET
 
 
