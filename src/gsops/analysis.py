@@ -1,7 +1,9 @@
 """Sup-norm machinery and verifiers for the named inequalities.
 
 Implements the uniform-norm estimator (Chebyshev-distributed grid plus
-golden-section refinement), the Lebesgue-function bound for the modified
+golden-section refinement; the grid max of a Bernstein form or residual is
+screened with a closed-form basis under an a-priori error bound and
+confirmed by de Casteljau), the Lebesgue-function bound for the modified
 operator's norm, the float identities of the basis layer (partition of
 unity, moments, eigen relation, Phi(alpha), tail sums), endpoint
 interpolation, the Jackson / Voronovskaya / Bernstein-type inequality
@@ -14,7 +16,7 @@ Every report the CLI prints is built here, except the exact identity rows of
 
 Each check of a function takes its operator outputs and norms from a Sweep,
 which a run builds once and hands to every check.  One Sweep serves one
-thread; the cached grid bases of sup_norm are shared under a lock, so
+thread; the cached screening bases of sup_norm are shared under a lock, so
 threads with a Sweep each can produce reports concurrently, and merged by key
 they hold the same values.
 """
@@ -30,7 +32,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import bernstein_matrix, moment, phi_big, t_matrix, tail_sums, xi_zero
+from .basis import (
+    bernstein_matrix,
+    closed_form_basis,
+    closed_form_error,
+    moment,
+    phi_big,
+    t_matrix,
+    tail_sums,
+    xi_zero,
+)
 from .catalog import FunctionSpec
 from .errors import PreconditionError
 from .operators import (
@@ -100,13 +111,16 @@ GOLDEN_ITERATIONS = 50
 LOOKAHEAD_DEPTH = 4
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: Bytes of grid bases B(n, grid) kept between sup norms.  20 MiB holds every
-#: degree of a default sweep (n up to 512 on the default grid); a basis larger
-#: than the budget is used once and not kept.
+#: Bytes of screening bases kept between sup norms: closed-form (log-domain)
+#: bases of the grid, one per degree and grid size, each within a stated error
+#: bound of B(n, grid).  20 MiB holds every degree of a default sweep (n up to
+#: 512 on the default grid); a basis larger than the budget is used once and
+#: not kept.
 GRID_BASIS_BUDGET = 20 * 2**20
 #: Row block of check_bn_decomposition.
 _DECOMPOSITION_BLOCK = 256
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -178,7 +192,8 @@ def _chebyshev_grid(grid_size: int) -> np.ndarray:
 
 
 class _GridBasisCache:
-    """Read-only bases B(n, grid) by (n, grid_size), least recently used first out.
+    """Read-only screening bases closed_form_basis(n, grid) by (n, grid_size),
+    least recently used first out.
 
     Filled lazily and bounded by ``budget`` bytes in total; a lock keeps it
     safe for concurrent sweeps, and the arrays themselves are immutable.
@@ -197,7 +212,7 @@ class _GridBasisCache:
             if basis is not None:
                 self._entries.move_to_end(key)
                 return basis
-        basis = bernstein_matrix(n, _chebyshev_grid(grid_size))
+        basis = closed_form_basis(n, _chebyshev_grid(grid_size))
         basis.setflags(write=False)
         with self._lock:
             if basis.nbytes <= self.budget and key not in self._entries:
@@ -219,7 +234,8 @@ class Residual:
     ``f`` and ``g`` are optional vectorized callables; ``Residual(p)`` is p
     itself.  Calling it evaluates p by de Casteljau, in this operation order,
     so its values are those of the equivalent lambda.  sup_norm screens the
-    grid of a Residual with the cached basis first.
+    grid of a Residual with the cached closed-form basis first, and only the
+    candidates it leaves are evaluated by calling it.
     """
 
     p: BernsteinForm
@@ -250,14 +266,19 @@ def _abs_values(fn, xs: np.ndarray, finite: bool = True) -> np.ndarray:
 def _screened_grid_max(fn: Residual, xs: np.ndarray, grid_size: int) -> tuple[int, float]:
     """Index and value of max |fn| on the grid, as a full de Casteljau pass gives them.
 
-    The polynomial part is first screened as a matvec with the cached basis.
-    That and de Casteljau each err by at most about 2n u sum|c_k| P_{n,k}, so
-    delta = 8(n+1) eps max|c_k|, plus the rounding of the additions of -f and
-    scale * g, bounds their gap; every point whose screened value is within
-    2 delta of the screened max is re-evaluated by calling fn, which includes
-    every point where the exact values attain their max.  f and g are
-    pointwise, so that call gives the values of a full pass.  Non-finite
-    screened values fall back to the full pass, which raises as before.
+    The polynomial part is first screened as a matvec with the cached
+    closed-form basis, whose row i errs from B(n, grid) by at most r(x_i) per
+    entry, relatively, plus 2^-1022 (basis.closed_form_error).  The matvec
+    then errs from the exact values by at most max|c_k| (r(x_i) +
+    (n+1) 2^-1022) plus its own rounding, and de Casteljau by at most about
+    2n u sum|c_k| P_{n,k}; delta_i = 8(n+1) eps max|c_k| + max|c_k| (r(x_i) +
+    (n+1) 2^-1022), plus the rounding of the additions of -f and scale * g,
+    bounds the gap s_i - d_i of screened and full-pass values at point i.
+    Point i is kept when s_i + delta_i >= max_j (s_j - delta_j), which keeps
+    every point where the full pass attains its max; the kept points are
+    re-evaluated by calling fn (de Casteljau).  f and g are pointwise, so
+    that call gives the values of a full pass.  Non-finite screened values
+    fall back to the full pass, which raises as before.
     """
     p = fn.p
     terms = [] if fn.f is None else [-fn.f(xs)]
@@ -265,17 +286,18 @@ def _screened_grid_max(fn: Residual, xs: np.ndarray, grid_size: int) -> tuple[in
         terms.append(fn.scale * fn.g(xs))
     with np.errstate(all="ignore"):
         screened = _GRID_BASES.get(p.n, grid_size) @ p.coeffs
-        delta = 8.0 * (p.n + 1) * _EPS * float(np.max(np.abs(p.coeffs)))
+        c_max = float(np.max(np.abs(p.coeffs)))
+        delta = c_max * (8.0 * (p.n + 1) * _EPS + (p.n + 1) * _TINY + closed_form_error(p.n, xs))
         for term in terms:
             delta += 4.0 * _EPS * (float(np.max(np.abs(screened))) + float(np.max(np.abs(term))))
             screened = screened + term
         screened = np.abs(screened)
-    if not (np.all(np.isfinite(screened)) and math.isfinite(delta)):
+    if not (np.all(np.isfinite(screened)) and np.all(np.isfinite(delta))):
         vals = _abs_values(fn, xs)
         i = int(np.argmax(vals))
         return i, float(vals[i])
 
-    candidates = np.flatnonzero(screened >= np.max(screened) - 2.0 * delta)
+    candidates = np.flatnonzero(screened + delta >= np.max(screened - delta))
     vals = _abs_values(fn, xs[candidates])
     j = int(np.argmax(vals))
     return int(candidates[j]), float(vals[j])
@@ -314,9 +336,10 @@ def sup_norm(fn: BernsteinForm | Residual | Callable, grid_size: int = DEFAULT_G
     fixed number of golden-section iterations around the best point.
     Deterministic for a fixed grid size; refinement can only increase the
     value.  A BernsteinForm p is taken as Residual(p).  For a Residual the
-    grid max is found by screening with a cached basis and confirming by de
-    Casteljau, which gives the same point and value, bit for bit, as a de
-    Casteljau pass over the whole grid.
+    grid max is found by screening with a cached closed-form basis, widened
+    at each point by an a-priori bound on its error, and confirming the
+    candidates by de Casteljau, which gives the same point and value, bit for
+    bit, as a de Casteljau pass over the whole grid.
 
     The iterations run in blocks of LOOKAHEAD_DEPTH: every point a block can
     probe is evaluated in one call, and the sequential walk then reads its
@@ -592,14 +615,17 @@ def bernstein_probe_max_ratio(
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    B = _GRID_BASES.get(n, grid_size)
+    B = bernstein_matrix(n, _chebyshev_grid(grid_size))
     A = u_coefficient_matrix(n, n)
 
     C = rng.choice([-1.0, 1.0], size=(trials, n + 1))
     U = C @ A.T
     UT = dtilde_coefficient_map(U - dtilde_coefficient_map(U) / n)
-    lhs = np.max(np.abs(UT @ B.T), axis=1)
-    norms = np.max(np.abs(C @ B.T), axis=1)
+    # absolute values in place: one (trials, points) product alive at a time
+    lhs = UT @ B.T
+    lhs = np.max(np.abs(lhs, out=lhs), axis=1)
+    norms = C @ B.T
+    norms = np.max(np.abs(norms, out=norms), axis=1)
     return float(np.max(lhs / (n * norms)))
 
 
@@ -613,8 +639,10 @@ def check_bernstein_probes(
     )
 
 
-def _decomposition_parts(n: int, xs: np.ndarray, B: np.ndarray, B1: np.ndarray):
-    """a_n, b_n and c_n at interior points xs, given B(n, xs) and B(n-1, xs)."""
+def _decomposition_parts(n: int, xs: np.ndarray):
+    """a_n, b_n and c_n at interior points xs."""
+    B = bernstein_matrix(n, xs)
+    B1 = bernstein_matrix(n - 1, xs)
     phi = xs * (1.0 - xs)
 
     Pp = np.zeros_like(B)
@@ -646,12 +674,10 @@ def check_bn_decomposition(n: int, grid_size: int = DEFAULT_GRID) -> list[Inequa
     if n < 2:
         raise ValueError("n must be >= 2")
     xs = _chebyshev_grid(grid_size)[1:-1]
-    B = _GRID_BASES.get(n, grid_size)[1:-1]
-    B1 = _GRID_BASES.get(n - 1, grid_size)[1:-1]
     a, b, c = (np.empty(xs.size) for _ in range(3))
     for start in range(0, xs.size, _DECOMPOSITION_BLOCK):
         rows = slice(start, start + _DECOMPOSITION_BLOCK)
-        a[rows], b[rows], c[rows] = _decomposition_parts(n, xs[rows], B[rows], B1[rows])
+        a[rows], b[rows], c[rows] = _decomposition_parts(n, xs[rows])
 
     target_a = 2.0 * (n - 1)
     target_s = 4.0 * (n - 1)

@@ -1,11 +1,12 @@
 """Bernstein basis evaluation and the scalar machinery built on it.
 
 Provides stable evaluation of the basis P_{n,k}(x) = C(n,k) x^k (1-x)^(n-k)
-by the degree-raising (de Casteljau style) triangular recurrence, the rational
-functions T_{n,k} that represent the action of Dtilde on the basis and their
-first two derivatives (one vectorized t_matrix, at interior points), the
-interior zeros xi_k of T'_{n,k}, the closed-form central moments of the
-Bernstein operator, and the tail sums
+by the degree-raising (de Casteljau style) triangular recurrence, a faster
+closed-form (log-domain) evaluation for screening with an a-priori bound on
+its error, the rational functions T_{n,k} that represent the action of
+Dtilde on the basis and their first two derivatives (one vectorized
+t_matrix, at interior points), the interior zeros xi_k of T'_{n,k}, the
+closed-form central moments of the Bernstein operator, and the tail sums
 
     lambda(n) = sum_{k>=n} 1/(k^2 (k+1)),
     theta(n)  = sum_{k>=n} 1/(k^2 (k+1)^2),
@@ -27,6 +28,8 @@ from .errors import InvariantViolation
 __all__ = [
     "TailSums",
     "bernstein_matrix",
+    "closed_form_basis",
+    "closed_form_error",
     "t_matrix",
     "xi_zero",
     "moment",
@@ -58,11 +61,7 @@ def bernstein_matrix(n: int, xs) -> np.ndarray:
     x P_{j-1,k-1} + (1-x) P_{j-1,k}, rounded as in the level-by-level form.
     Each of the four work arrays holds at most EVAL_WORKSPACE floats.
     """
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):
-        raise ValueError("evaluation points must lie in [0, 1]")
+    xs = _basis_points(n, xs)
     out = np.empty((xs.size, n + 1))
     width = max(1, min(_eval_chunk(n), xs.size))
     b_buf = np.empty((n + 1) * width)
@@ -83,6 +82,84 @@ def bernstein_matrix(n: int, xs) -> np.ndarray:
             b[jw : jw + w] = prod[jw - w :]
         out[start : start + w] = b.reshape(n + 1, w).T
     return out
+
+
+def _basis_points(n: int, xs) -> np.ndarray:
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):
+        raise ValueError("evaluation points must lie in [0, 1]")
+    return xs
+
+
+#: Safety factor C of closed_form_error; its docstring derives 5.6 as enough.
+CLOSED_FORM_SAFETY = 8.0
+
+
+def closed_form_basis(n: int, xs) -> np.ndarray:
+    """Basis values from the closed form: out[i, k] ~ P_{n,k}(xs[i]), for screening.
+
+    Each interior entry is exp(log C(n,k) + k log x + (n-k) log1p(-x)), with
+    log C(n,k) taken from the exact integer C(n,k); rows at x = 0 and x = 1
+    are the unit vectors.  O(n) work per point against the recurrence's
+    O(n^2), but the entries are not those of bernstein_matrix: each is within
+    the bound of closed_form_error.  The rows are built in blocks of
+    w = _eval_chunk(n) points directly in the result, with one work array of
+    at most EVAL_WORKSPACE floats.
+    """
+    xs = _basis_points(n, xs)
+    out = np.empty((xs.size, n + 1))
+    k = np.arange(n + 1, dtype=float)
+    log_binom = np.empty(n + 1)
+    c = 1
+    for j in range(n + 1):
+        log_binom[j] = math.log(c)
+        c = c * (n - j) // (j + 1)
+    # endpoint rows get the finite stand-in logs -1 (every entry then lies in
+    # (0, 1], since C(n,k) < e^n) and are set to unit vectors below
+    inner = (xs > 0.0) & (xs < 1.0)
+    log_x = np.log(xs, out=np.full(xs.size, -1.0), where=inner)
+    log_1mx = np.log1p(-xs, out=np.full(xs.size, -1.0), where=inner)
+    width = max(1, min(_eval_chunk(n), xs.size))
+    tmp = np.empty((width, n + 1))
+    for start in range(0, xs.size, width):
+        block = out[start : start + width]
+        w = block.shape[0]
+        np.multiply(log_x[start : start + w, None], k, out=block)
+        np.multiply(log_1mx[start : start + w, None], n - k, out=tmp[:w])
+        block += tmp[:w]
+        block += log_binom
+        np.exp(block, out=block)
+    out[xs == 0.0] = k == 0
+    out[xs == 1.0] = k == n
+    return out
+
+
+def closed_form_error(n: int, xs) -> np.ndarray:
+    """r(xs[i]): a bound on the relative error of every entry of row i of closed_form_basis.
+
+    Each entry B of row i satisfies |B - P_{n,k}(x)| <= r(x) P_{n,k}(x) + tiny,
+    tiny = 2^-1022 standing for an underflow to 0 or to a subnormal, where
+
+        r(x) = C eps (max_k log C(n,k) + n (|log x| + |log1p(-x)|) + 1),
+
+    C = CLOSED_FORM_SAFETY.  Assumed: numpy's log, log1p and exp and
+    math.log of an integer each err by at most 4 ULP (4 eps relative) on
+    normal results.  The computed exponent L then errs by at most
+    (4 + 1/2 + 1) eps S, from the logs, the products with k and n - k and
+    the two sums, where S = log C(n,k) + k |log x| + (n-k) |log1p(-x)|
+    bounds every partial sum; so exp(L) errs by at most 1.01 * 5.5 eps S +
+    4.1 eps relative while 5.5 eps S <= 0.01, that is for every n below
+    1e10.  S is at most the bracket above, so C = 5.6 would do and 8 leaves
+    room.  The endpoint rows are exact.
+    """
+    xs = _basis_points(n, xs)
+    inner = (xs > 0.0) & (xs < 1.0)
+    spread = np.zeros(xs.size)
+    spread[inner] = np.abs(np.log(xs[inner])) + np.abs(np.log1p(-xs[inner]))
+    eps = float(np.finfo(float).eps)
+    return CLOSED_FORM_SAFETY * eps * (math.log(math.comb(n, n // 2)) + n * spread + 1.0)
 
 
 def t_matrix(n: int, xs, order: int = 0) -> np.ndarray:

@@ -1,18 +1,22 @@
-"""The sup-norm grid engine: in-place de Casteljau and basis, cached grid bases,
-exact confirmation, golden-section probes in lookahead batches.
+"""The sup-norm grid engine: in-place de Casteljau and basis, the closed-form
+screening basis and its error bound, cached grid bases, exact confirmation,
+golden-section probes in lookahead batches.
 
 The oracles are the straightforward forms the engine replaces: de Casteljau
 and the basis recurrence with fresh arrays at every level, and a sup norm
 that evaluates its argument by de Casteljau on the whole grid and refines it
 by one-point probes.  They are copied here, so the comparisons are bit for
-bit.
+bit.  The closed-form basis is held to its stated bound against 50-digit
+mpmath values.
 """
 
 import math
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -31,11 +35,19 @@ from gsops.analysis import (
     lebesgue_bound,
     sup_norm,
 )
-from gsops.basis import EVAL_WORKSPACE, _eval_chunk, bernstein_matrix, tail_sums
+from gsops.basis import (
+    EVAL_WORKSPACE,
+    _eval_chunk,
+    bernstein_matrix,
+    closed_form_basis,
+    closed_form_error,
+    tail_sums,
+)
 from gsops.catalog import catalog_names, get_function
 from gsops.operators import (
     BernsteinForm,
     apply_U,
+    apply_Utilde_to_form,
     dtilde_form,
     dtilde_of_function,
     utilde_from_u,
@@ -241,6 +253,85 @@ def test_bernstein_matrix_empty_and_scalar_points():
     assert np.array_equal(bernstein_matrix(7, 0.3), level_by_level_basis(7, [0.3]))
 
 
+# -- closed_form_basis: the screening basis and its error bound -----------------------
+
+
+def exact_basis_row(n, x):
+    """P_{n,k}(x), k = 0..n, in 50-digit arithmetic (no underflow)."""
+    if x in (0.0, 1.0):
+        return [mpmath.mpf(int(k == n * x)) for k in range(n + 1)]
+    x = mpmath.mpf(x)
+    ratio = x / (1 - x)
+    row = [(1 - x) ** n]
+    for k in range(n):
+        row.append(row[-1] * (n - k) / (k + 1) * ratio)
+    return row
+
+
+def closed_form_excess(n, rows, shrink=1.0):
+    """max over the entries of |B - P| / (r P / shrink + tiny) on the given grid rows."""
+    xs = _chebyshev_grid(DEFAULT_GRID)[rows]
+    B = closed_form_basis(n, xs)
+    r = closed_form_error(n, xs) / shrink
+    worst = 0.0
+    with mpmath.workdps(50):
+        tiny = mpmath.mpf(float(np.finfo(float).tiny))
+        for i, x in enumerate(xs.tolist()):
+            for b, p in zip(B[i].tolist(), exact_basis_row(n, x)):
+                worst = max(worst, float(abs(mpmath.mpf(b) - p) / (r[i] * p + tiny)))
+    return worst
+
+
+_SIZE = _chebyshev_grid(DEFAULT_GRID).size
+# both endpoints, the two extreme interior points, and the rows around x = 1/2,
+# where the mode k = n/2 carries the largest log C(n, k)
+_BOUND_ROWS = [0, 1, _SIZE - 2, _SIZE - 1, *range(_SIZE // 2 - 2, _SIZE // 2 + 3)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 256, 512, 1024])
+def test_closed_form_basis_within_its_bound(n):
+    assert closed_form_excess(n, _BOUND_ROWS) <= 1.0
+
+
+def test_closed_form_bound_too_small_is_caught():
+    # the oracle has teeth: the bound divided by 30 fails somewhere
+    assert max(closed_form_excess(n, _BOUND_ROWS, shrink=30.0) for n in (17, 512, 1024)) > 1.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 40, 1100])
+def test_closed_form_basis_endpoint_rows_and_shape(n):
+    xs = np.tile([0.0, 0.5, 1.0], _eval_chunk(n) + 1)  # endpoints in every block
+    out = closed_form_basis(n, xs)
+    assert out.shape == (xs.size, n + 1) and out.flags.c_contiguous
+    unit = np.zeros(n + 1)
+    unit[0] = 1.0
+    assert np.all(out[0::3] == unit)
+    assert np.all(out[2::3] == unit[::-1])
+    assert np.all(np.isfinite(out)) and np.all(out >= 0.0)
+    assert closed_form_basis(n, []).shape == (0, n + 1)
+
+
+@pytest.mark.parametrize("xs", [[np.nan], [0.5, -0.1], [1.5]])
+def test_closed_form_basis_rejects_points_outside(xs):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        closed_form_basis(3, xs)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        closed_form_error(3, xs)
+
+
+@pytest.mark.parametrize("n", [0, 1, 127, 255, 512, 1000])
+def test_closed_form_workspace_is_bounded(n):
+    # built block by block in the result: beyond it, at most 4 EVAL_WORKSPACE floats
+    xs = np.linspace(0.0, 1.0, 3 * _eval_chunk(n) + 1)
+    tracemalloc.start()
+    try:
+        out = closed_form_basis(n, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 4 * 8 * EVAL_WORKSPACE + 2**14
+
+
 # -- sup_norm: screening confirmed by de Casteljau -------------------------------------
 
 
@@ -268,6 +359,47 @@ def test_sup_norm_flat_operator_errors_match_full_pass(name, apply):
     f = get_function(name)
     p = apply(f, 256)
     assert_same_as_full_pass(Residual(p, f.eval), lambda xs: p.eval(xs) - f.eval(xs))
+
+
+# -- the widest screens: n = 512 and 1024, where delta reaches 1.5e-11 and 3e-11 max|c|
+
+
+def test_sup_norm_flat_residual_at_512_matches_full_pass():
+    # Utilde_512 one - one is rounding noise: every grid point is a candidate
+    f = get_function("one")
+    p = apply_Utilde(f, 512)
+    assert_same_as_full_pass(Residual(p, f.eval), lambda xs: p.eval(xs) - f.eval(xs))
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_sup_norm_spread_random_forms_at_high_degree_match_full_pass(n):
+    # coefficients spread over 1e-6 .. 1e6, so max|c| sets a wide delta
+    rng = np.random.default_rng(n)
+    form = BernsteinForm(n, rng.normal(size=n + 1) * 10.0 ** rng.uniform(-6.0, 6.0, n + 1))
+    assert_same_as_full_pass(form, form.eval)
+
+
+def _exp_taylor_form(degree):
+    """exp's Taylor polynomial of the given degree in Bernstein form: c_k = sum_j C(k,j) / (C(M,j) j!)."""
+    return BernsteinForm(
+        degree,
+        [float(sum(Fraction(math.comb(k, j), math.comb(degree, j) * math.factorial(j)) for j in range(k + 1)))
+         for k in range(degree + 1)],
+    )
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_sup_norm_voronovskaya_residual_of_exp_at_high_degree_matches_full_pass(n):
+    # Utilde_n of exp's degree-20 Taylor polynomial, through the exact Beta matrix
+    # in milliseconds, not quadrature in seconds: the two differ by at most
+    # sqrt(3) e / 21! < 1e-19, far below the last bit of the values
+    f = get_function("exp")
+    lam = tail_sums(n).lam
+    p = apply_Utilde_to_form(_exp_taylor_form(20), n)
+    d2f = dtilde_of_function(f, 2)
+    assert_same_as_full_pass(
+        Residual(p, f.eval, d2f, lam), lambda xs: p.eval(xs) - f.eval(xs) + lam * d2f(xs)
+    )
 
 
 def test_sup_norm_mirror_symmetric_maxima_match_full_pass():
@@ -432,7 +564,7 @@ def test_grid_basis_cache_stays_within_budget():
     for step, kept in kept_after.items():
         n = abs(step)
         basis = cache.get(n, 64)
-        assert np.array_equal(basis, bernstein_matrix(n, _chebyshev_grid(64)))
+        assert np.array_equal(basis, closed_form_basis(n, _chebyshev_grid(64)))
         assert not basis.flags.writeable
         assert [key[0] for key in cache._entries] == kept
         assert cache.nbytes == sum(b.nbytes for b in cache._entries.values()) <= cache.budget
@@ -457,7 +589,7 @@ def test_module_cache_within_budget_after_a_sweep():
 def test_grid_basis_cache_concurrent_gets_keep_the_byte_count():
     grid = _chebyshev_grid(64)
     cache = _GridBasisCache(budget=60 * 8 * grid.size)
-    expected = {n: bernstein_matrix(n, grid) for n in range(1, 30)}
+    expected = {n: closed_form_basis(n, grid) for n in range(1, 30)}
     errors = []
 
     def worker(seed):
