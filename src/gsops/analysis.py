@@ -9,7 +9,8 @@ unity, moments, eigen relation, Phi(alpha), tail sums), endpoint
 interpolation, the Jackson / Voronovskaya / Bernstein-type inequality
 checks and the random Bernstein probes, the decomposition checks behind the
 Bernstein-type constant, the K-functional sandwich (constructive upper
-candidate plus the direct-theorem lower bound), the strong-converse check at
+candidate, pruned by branch and bound on screened lower bounds of its sup
+norms, plus the direct-theorem lower bound), the strong-converse check at
 two operator scales, and the errors and log-log slope of convergence rates.
 Every report the CLI prints is built here, except the exact identity rows of
 ``verify``, which the CLI builds from the exactpoly checks.
@@ -142,7 +143,8 @@ class KfSandwich:
     rounding.  ``upper`` is the cost ||f - g|| + t ||Dtilde^2 g|| of the best
     concrete candidate g (recorded in ``candidate_id``).  Its two norms are
     grid estimates, which sit at or below the true sup norms, so ``upper``
-    estimates an upper bound of K but is not certified as one.
+    estimates an upper bound of K but is not certified as one.  Pruning the
+    candidates (kfunctional_sandwich) changes neither field.
     """
 
     t: float
@@ -263,22 +265,19 @@ def _abs_values(fn, xs: np.ndarray, finite: bool = True) -> np.ndarray:
     return vals
 
 
-def _screened_grid_max(fn: Residual, xs: np.ndarray, grid_size: int) -> tuple[int, float]:
-    """Index and value of max |fn| on the grid, as a full de Casteljau pass gives them.
+def _screen(fn: Residual, xs: np.ndarray, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Screened values s_i of |fn| on the grid and widths delta_i >= |s_i - d_i|.
 
-    The polynomial part is first screened as a matvec with the cached
-    closed-form basis, whose row i errs from B(n, grid) by at most r(x_i) per
-    entry, relatively, plus 2^-1022 (basis.closed_form_error).  The matvec
-    then errs from the exact values by at most max|c_k| (r(x_i) +
-    (n+1) 2^-1022) plus its own rounding, and de Casteljau by at most about
-    2n u sum|c_k| P_{n,k}; delta_i = 8(n+1) eps max|c_k| + max|c_k| (r(x_i) +
-    (n+1) 2^-1022), plus the rounding of the additions of -f and scale * g,
-    bounds the gap s_i - d_i of screened and full-pass values at point i.
-    Point i is kept when s_i + delta_i >= max_j (s_j - delta_j), which keeps
-    every point where the full pass attains its max; the kept points are
-    re-evaluated by calling fn (de Casteljau).  f and g are pointwise, so
-    that call gives the values of a full pass.  Non-finite screened values
-    fall back to the full pass, which raises as before.
+    d_i is the value a full de Casteljau pass gives at point i.  The
+    polynomial part is screened as a matvec with the cached closed-form
+    basis, whose row i errs from B(n, grid) by at most r(x_i) per entry,
+    relatively, plus 2^-1022 (basis.closed_form_error).  The matvec then errs
+    from the exact values by at most max|c_k| (r(x_i) + (n+1) 2^-1022) plus
+    its own rounding, and de Casteljau by at most about 2n u sum|c_k|
+    P_{n,k}; delta_i = 8(n+1) eps max|c_k| + max|c_k| (r(x_i) + (n+1)
+    2^-1022), plus the rounding of the additions of -f and scale * g, bounds
+    the gap.  f and g are pointwise, so they take the full pass's values.
+    Either array may hold non-finite entries.
     """
     p = fn.p
     terms = [] if fn.f is None else [-fn.f(xs)]
@@ -291,7 +290,17 @@ def _screened_grid_max(fn: Residual, xs: np.ndarray, grid_size: int) -> tuple[in
         for term in terms:
             delta += 4.0 * _EPS * (float(np.max(np.abs(screened))) + float(np.max(np.abs(term))))
             screened = screened + term
-        screened = np.abs(screened)
+        return np.abs(screened), delta
+
+
+def _screened_grid_max(fn: Residual, xs: np.ndarray, grid_size: int) -> tuple[int, float]:
+    """Index and value of max |fn| on the grid, as a full de Casteljau pass gives them.
+
+    fn is called at every point with s_i + delta_i >= max_j (s_j - delta_j),
+    which includes each point where the full pass attains its max; a
+    non-finite screen falls back to the full pass, which raises as before.
+    """
+    screened, delta = _screen(fn, xs, grid_size)
     if not (np.all(np.isfinite(screened)) and np.all(np.isfinite(delta))):
         vals = _abs_values(fn, xs)
         i = int(np.argmax(vals))
@@ -301,6 +310,18 @@ def _screened_grid_max(fn: Residual, xs: np.ndarray, grid_size: int) -> tuple[in
     vals = _abs_values(fn, xs[candidates])
     j = int(np.argmax(vals))
     return int(candidates[j]), float(vals[j])
+
+
+def _screened_lower_bound(fn: Residual, grid_size: int) -> float:
+    """max_i (s_i - delta_i) of the screen, rounded down, or 0 if the screen is not finite.
+
+    At most sup_norm(fn, grid_size).value, which is at least every full-pass
+    value d_i >= s_i - delta_i; costs a matvec and no de Casteljau.
+    """
+    screened, delta = _screen(fn, _chebyshev_grid(grid_size), grid_size)
+    if not (np.all(np.isfinite(screened)) and np.all(np.isfinite(delta))):
+        return 0.0
+    return max(0.0, float(np.max(np.nextafter(screened - delta, -np.inf))))
 
 
 def _probe_points(a: float, b: float, c: float, d: float, left: bool, depth: int) -> list[float]:
@@ -395,8 +416,9 @@ class Sweep:
     function spec, so two specs that share a name never share a value.  A
     miss of U_m f for a function of ``fs`` that takes the quadrature path
     computes U_m of every one of them that lacks it in one call, storing none
-    that fails, and raises only for f.  The sup norms are taken on the grid of
-    ``grid_size`` points, the quadratures to ``tol``.
+    that fails, and raises only for f; a function outside ``fs`` takes a call
+    of its own.  The sup norms are taken on the grid of ``grid_size`` points,
+    the quadratures to ``tol``.
     """
 
     def __init__(self, fs: Sequence[FunctionSpec], grid_size: int, tol: float) -> None:
@@ -434,21 +456,35 @@ class Sweep:
             ("dtilde_norm", f, ell), lambda: sup_norm(dtilde_of_function(f, ell), self.grid_size).value
         )
 
-    def iterate_norms(self, f: FunctionSpec, m: int) -> tuple[float, float]:
-        """(||g - f||, ||Dtilde^2 g||) for the K-functional candidate g = Utilde_m^3 f.
+    def Utilde3(self, f: FunctionSpec, m: int) -> BernsteinForm:
+        """The K-functional candidate Utilde_m^3 f: the stored Utilde_m f, then
+        twice the exact coefficient-integral matrix in float, compounding no
+        quadrature error."""
+        return self._memoized(
+            ("Utilde3", f, m), lambda: apply_Utilde_to_form(apply_Utilde_to_form(self.Utilde(f, m), m), m)
+        )
 
-        g is the stored Utilde_m f with Utilde_m applied twice more to its
-        Bernstein form: those rounds use the exact coefficient-integral matrix
-        in float arithmetic instead of compounding quadrature error.
-        """
+    def iterate_distance(self, f: FunctionSpec, m: int) -> float:
+        """||Utilde_m^3 f - f||."""
+        g = self.Utilde3(f, m)
+        return self._memoized(("iterate_distance", f, m), lambda: distance(g, f, self.grid_size))
 
-        def norms() -> tuple[float, float]:
-            g = self.Utilde(f, m)
-            for _ in range(2):
-                g = apply_Utilde_to_form(g, m)
-            return distance(g, f, self.grid_size), sup_norm(dtilde_form(dtilde_form(g)), self.grid_size).value
+    def iterate_d2_norm(self, f: FunctionSpec, m: int) -> float:
+        """||Dtilde^2 Utilde_m^3 f||, from the exact coefficient map."""
+        d2 = dtilde_form(dtilde_form(self.Utilde3(f, m)))
+        return self._memoized(("iterate_d2_norm", f, m), lambda: sup_norm(d2, self.grid_size).value)
 
-        return self._memoized(("iterate_norms", f, m), norms)
+    def iterate_lower_bounds(self, f: FunctionSpec, m: int) -> tuple[float, float]:
+        """Lower bounds of (iterate_distance, iterate_d2_norm) that take no sup norm:
+        each norm once computed, else its _screened_lower_bound, computed once."""
+        g = self.Utilde3(f, m)
+        d2 = Residual(dtilde_form(dtilde_form(g)))
+        forms = {"iterate_distance": Residual(g, f.eval), "iterate_d2_norm": d2}
+        return tuple(
+            self._values[name, f, m] if (name, f, m) in self._values
+            else self._memoized(("lower", name, f, m), lambda: _screened_lower_bound(form, self.grid_size))
+            for name, form in forms.items()
+        )
 
 
 def _ptilde_abs_sums(n: int, xs: np.ndarray) -> np.ndarray:
@@ -717,24 +753,34 @@ def kfunctional_sandwich(f: FunctionSpec, n: int, sweep: Sweep) -> KfSandwich:
 
     Candidates whose costs tie in exact arithmetic (at t2, n = 2 the
     candidates m = 2, m = 4 and f itself all cost 1/4) are ranked by the last
-    bit of their computed costs, and the winner is what ``candidate_id``, the
-    ``note`` column of the CLI, shows.
+    bit of their computed costs: ``candidate_id``, the CLI's ``note``, is the
+    first of least cost, m ascending, then f itself (strict <).
+
+    Branch and bound: a candidate whose fl(L(g - f) + fl(t L(Dtilde^2 g)))
+    exceeds the lesser of the best cost so far and f's own is skipped without
+    its sup norms.  L (_screened_lower_bound) is at most the sup_norm value
+    and rounding is monotone, so a skipped candidate costs strictly more than
+    the winner: skipping it changes neither ``upper`` nor any tie.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     t = 1.0 / n**2
 
+    ms = (n, 2 * n, 4 * n, 8 * n)
+    for m in ms:  # a failing quadrature raises before f's own cost is taken, as without pruning
+        sweep.Utilde3(f, m)
+    own_cost = t * sweep.dtilde_norm(f, 2) if f.smoothness.w20 and f.smoothness.dtilde_w2 else math.inf
     best_cost = math.inf
     best_id = ""
-    for m in (n, 2 * n, 4 * n, 8 * n):
-        dist, d2 = sweep.iterate_norms(f, m)
-        cost = dist + t * d2
+    for m in ms:
+        low_dist, low_d2 = sweep.iterate_lower_bounds(f, m)
+        if low_dist + t * low_d2 > min(best_cost, own_cost):
+            continue
+        cost = sweep.iterate_distance(f, m) + t * sweep.iterate_d2_norm(f, m)
         if cost < best_cost:
             best_cost, best_id = cost, f"utilde3_m{m}"
-    if f.smoothness.w20 and f.smoothness.dtilde_w2:
-        cost = t * sweep.dtilde_norm(f, 2)
-        if cost < best_cost:
-            best_cost, best_id = cost, "f_itself"
+    if own_cost < best_cost:
+        best_cost, best_id = own_cost, "f_itself"
 
     return KfSandwich(t=t, err=sweep.error(f, n), upper=best_cost, candidate_id=best_id)
 
@@ -777,7 +823,7 @@ def check_converse(f: FunctionSpec, n: int, ell: int, sweep: Sweep) -> list[Ineq
     rhs = CONVERSE_CONSTANT * (ell / n) ** 2 * (sw.err + sweep.error(f, ell))
     main = InequalityReport("converse", f.name, n, sw.upper, rhs, ell=ell, note=sw.candidate_id)
 
-    lhs3, _ = sweep.iterate_norms(f, n)
+    lhs3 = sweep.iterate_distance(f, n)
     iterate_report = InequalityReport(
         "iterate_contraction", f.name, n, lhs3, (4.0 + SQRT3) * sw.err
     )

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import gsops.analysis
 from gsops.analysis import (
     BERNSTEIN_CONSTANT,
     CONVERSE_CONSTANT,
@@ -324,14 +325,15 @@ def test_sandwich_t2_n2_exact_tie_at_one_quarter():
     f = get_function("t2")
     t = 0.25
     costs = {}
+    sweep = fresh_sweep(f)
     for m in (2, 4):
-        dist, d2 = fresh_sweep(f).iterate_norms(f, m)
-        costs[f"utilde3_m{m}"] = dist + t * d2
-    costs["f_itself"] = t * fresh_sweep(f).dtilde_norm(f, 2)
+        costs[f"utilde3_m{m}"] = sweep.iterate_distance(f, m) + t * sweep.iterate_d2_norm(f, m)
+    costs["f_itself"] = t * sweep.dtilde_norm(f, 2)
     for cost in costs.values():
         assert abs(cost - 0.25) <= 4 * np.spacing(0.25)
     sw = kfunctional_sandwich(f, 2, fresh_sweep(f))
     assert sw.upper == min(costs.values()) and costs[sw.candidate_id] == sw.upper
+    assert sw.candidate_id == "utilde3_m4"
 
 
 @pytest.mark.parametrize("name", ["t2", "exp", "abs52"])
@@ -363,8 +365,48 @@ def test_sandwich_memo_shared_across_n_changes_nothing(name):
     for m in (2, 4, 8):
         # the stored candidate norms are those of Utilde_m^3 f built afresh
         g = apply_Utilde_to_form(apply_Utilde_to_form(utilde_from_u(apply_U(f, m)), m), m)
-        fresh = (distance(g, f), sup_norm(dtilde_form(dtilde_form(g))).value)
-        assert shared.iterate_norms(f, m) == fresh
+        assert shared.Utilde3(f, m).coeffs.tobytes() == g.coeffs.tobytes()
+        assert shared.iterate_distance(f, m) == distance(g, f)
+        assert shared.iterate_d2_norm(f, m) == sup_norm(dtilde_form(dtilde_form(g))).value
+
+
+def test_sandwich_pruning_changes_no_bit(monkeypatch):
+    # a screened lower bound of 0 prunes nothing, so the loop then takes both
+    # norms of every candidate; the pruned sandwich must report the same err,
+    # upper and candidate, bit for bit, including the t2, n = 2 tie, while
+    # taking fewer sup norms.  U_m f does not depend on the grid or the
+    # pruning, so the four sweeps share it
+    fs = [get_function(name) for name in catalog_names()]
+    ns = (2, 3, 4, 8, 16, 32, 64)
+    calls, operator_outputs = [], {}
+    plain_norm, plain_U = gsops.analysis.sup_norm, Sweep.U
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return plain_norm(*args, **kwargs)
+
+    def shared_U(self, f, m):
+        if (f, m) not in operator_outputs:
+            operator_outputs[f, m] = plain_U(self, f, m)
+        return operator_outputs[f, m]
+
+    def sandwiches(grid_size):
+        sweep = Sweep(fs, grid_size, DEFAULT_TOL)
+        calls.clear()
+        return {(f.name, n): kfunctional_sandwich(f, n, sweep) for f in fs for n in ns}, len(calls)
+
+    monkeypatch.setattr(gsops.analysis, "sup_norm", counting)
+    monkeypatch.setattr(Sweep, "U", shared_U)
+    for grid_size in (64, DEFAULT_GRID):
+        pruned, pruned_calls = sandwiches(grid_size)
+        with monkeypatch.context() as no_pruning:
+            no_pruning.setattr(gsops.analysis, "_screened_lower_bound", lambda fn, grid_size: 0.0)
+            unpruned, unpruned_calls = sandwiches(grid_size)
+        assert repr(pruned) == repr(unpruned)
+        assert pruned["t2", 2].candidate_id == "utilde3_m4"
+        # Utilde_2^3 one and one itself both cost exactly 0: the tie goes to the first
+        assert (pruned["one", 2].upper, pruned["one", 2].candidate_id) == (0.0, "utilde3_m2")
+        assert pruned_calls < unpruned_calls
 
 
 def test_sandwich_memo_keeps_specs_with_one_name_apart():

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gsops.basis
+import gsops.catalog
 import gsops.cli
 from gsops.analysis import _eigen_relation_dev
 from gsops.basis import bernstein_matrix, t_matrix
@@ -678,8 +679,8 @@ def test_traced_sweep_builds_one_quadrature_basis_per_panel_count(tmp_path):
 @pytest.mark.parametrize(
     ("command", "most", "quadratures"),
     [
-        ("kfunc", 72, None),
-        ("converse", 87, None),
+        ("kfunc", 40, None),
+        ("converse", 57, None),
         ("verify", 35, 5),
         ("voronovskaya", 12, 5),
         ("norms", 23, 5),
@@ -688,18 +689,29 @@ def test_traced_sweep_builds_one_quadrature_basis_per_panel_count(tmp_path):
     ids=["kfunc", "converse", "verify", "voronovskaya", "norms", "table"],
 )
 def test_sandwich_sweep_takes_each_norm_once(tmp_path, monkeypatch, command, most, quadratures):
-    # half of the 145 (kfunc) and 175 (converse) sup norms of a sweep that
-    # recomputes the candidates of every n and Utilde_n^3 f for converse;
-    # verify, voronovskaya and norms made 55, 20 and 35 while they took
-    # U_n f once per check and ||Dtilde^ell f|| and ||f|| once per n.  With
-    # one Sweep per run, verify, norms and table take U_n f of exp and abs52
-    # in one quadrature call per n (25, 10 and 10 when each check ran its own),
-    # and voronovskaya that of exp
+    # kfunc and converse took 145 and 175 sup norms while they recomputed the
+    # candidates of every n and Utilde_n^3 f for converse, and 65 and 77 with
+    # each taken once; pruning the sandwich's candidates by their screened
+    # lower bounds leaves 37 and 54, and a pruned m = n candidate costs
+    # converse's iterate_contraction its distance alone.  verify, voronovskaya
+    # and norms made 55, 20 and 35 while they took U_n f once per check and
+    # ||Dtilde^ell f|| and ||f|| once per n.  With one Sweep per run, verify,
+    # norms and table take U_n f of exp and abs52 in one quadrature call per n
+    # (25, 10 and 10 when each check ran its own), and voronovskaya that of
+    # exp alone: its abs52 rows are precondition skips, so abs52 is never
+    # evaluated, not even at quadrature nodes
     import gsops.analysis
     import gsops.operators
 
-    calls, quadrature_calls = [], []
+    calls, quadrature_calls, evaluated = [], [], set()
     plain = gsops.analysis.sup_norm
+    plain_derivative = gsops.catalog.FunctionSpec.derivative
+
+    def recording(self, order, x):
+        evaluated.add(self.name)
+        return plain_derivative(self, order, x)
+
+    monkeypatch.setattr(gsops.catalog.FunctionSpec, "derivative", recording)
 
     def counting(*args, **kwargs):
         calls.append(args[0])
@@ -718,6 +730,7 @@ def test_sandwich_sweep_takes_each_norm_once(tmp_path, monkeypatch, command, mos
     assert 0 < len(calls) <= most
     if quadratures is not None:
         assert len(quadrature_calls) <= quadratures
+    assert ("abs52" in evaluated) == (command != "voronovskaya")
 
 
 # -- fuzz: every command over bounded inputs ----------------------------------------------

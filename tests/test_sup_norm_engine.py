@@ -1,6 +1,7 @@
 """The sup-norm grid engine: in-place de Casteljau and basis, the closed-form
 screening basis and its error bound, cached grid bases, exact confirmation,
-golden-section probes in lookahead batches.
+golden-section probes in lookahead batches, and the screened lower bound that
+must sit at or below the sup norm.
 
 The oracles are the straightforward forms the engine replaces: de Casteljau
 and the basis recurrence with fresh arrays at every level, and a sup norm
@@ -28,10 +29,12 @@ from gsops.analysis import (
     GRID_BASIS_BUDGET,
     LOOKAHEAD_DEPTH,
     Residual,
+    Sweep,
     _chebyshev_grid,
     _GRID_BASES,
     _GridBasisCache,
     _ptilde_abs_sums,
+    _screened_lower_bound,
     lebesgue_bound,
     sup_norm,
 )
@@ -45,6 +48,7 @@ from gsops.basis import (
 )
 from gsops.catalog import catalog_names, get_function
 from gsops.operators import (
+    DEFAULT_TOL,
     BernsteinForm,
     apply_U,
     apply_Utilde_to_form,
@@ -545,6 +549,72 @@ def test_lookahead_nan_at_a_read_point_still_raises():
     for x_bad in (read[0], read[len(read) // 2], read[-1]):
         with pytest.raises(ValueError, match="^non-finite value while estimating a sup norm$"):
             sup_norm(_nan_at(fn, x_bad))
+
+
+# -- the screened lower bound that prunes the K-functional candidates ------------------
+
+
+def assert_bound_below(fn, grid_size=DEFAULT_GRID):
+    """0 <= the screened bound <= the sup_norm value; returns both."""
+    low, value = _screened_lower_bound(fn, grid_size), sup_norm(fn, grid_size).value
+    assert 0.0 <= low <= value
+    return low, value
+
+
+@pytest.fixture(scope="module")
+def catalog_sweep():
+    return Sweep([get_function(name) for name in catalog_names()], DEFAULT_GRID, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_screened_lower_bound_below_candidate_norms(name, catalog_sweep):
+    # both norms of the K-functional candidates g = Utilde_m^3 f; away from
+    # rounding noise the bound of ||Dtilde^2 g|| is also within 0.1% of it
+    f = get_function(name)
+    for m in (2, 3, 4, 5, 8, 16, 32, 64, 128, 256):
+        g = catalog_sweep.Utilde3(f, m)
+        assert_bound_below(Residual(g, f.eval))
+        low, value = assert_bound_below(Residual(dtilde_form(dtilde_form(g))))
+        assert low >= 0.999 * value or value < 1e-9
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_screened_lower_bound_below_spread_random_forms(n):
+    # coefficients spread over 12 decades, so max|c| sets a wide delta
+    rng = np.random.default_rng(n + 1)
+    form = BernsteinForm(n, rng.normal(size=n + 1) * 10.0 ** rng.uniform(-6.0, 6.0, n + 1))
+    f = get_function("exp")
+    assert_bound_below(Residual(form))
+    assert_bound_below(Residual(form, f.eval))
+    assert_bound_below(Residual(form, f.eval, dtilde_of_function(f, 2), 1e3))
+
+
+@pytest.mark.parametrize(("name", "n"), [("one", 512), ("t", 256)])
+def test_screened_lower_bound_below_flat_residuals(name, n):
+    # rounding noise, where s_i and d_i differ in every bit: only delta keeps
+    # the bound below
+    f = get_function(name)
+    for p in (apply_U(f, n), apply_Utilde(f, n)):
+        assert_bound_below(Residual(p, f.eval))
+
+
+def test_screened_lower_bound_evaluates_no_form(monkeypatch):
+    def refuse(self, x):
+        raise AssertionError("evaluated by de Casteljau")
+
+    f = get_function("exp")
+    p = utilde_from_u(apply_U(f, 16))
+    monkeypatch.setattr(BernsteinForm, "eval", refuse)
+    assert _screened_lower_bound(Residual(p, f.eval), DEFAULT_GRID) > 0.0
+    assert _screened_lower_bound(Residual(p), 64) > 0.0
+
+
+def test_screened_lower_bound_of_a_non_finite_or_zero_screen_is_zero():
+    assert _screened_lower_bound(Residual(BernsteinForm(3, [0.0, np.nan, 1.0, 0.0])), 64) == 0.0
+    assert _screened_lower_bound(Residual(BernsteinForm(2, [0.0, np.inf, 0.0])), 64) == 0.0
+    pole = Residual(BernsteinForm(1, [1.0, 2.0]), lambda xs: np.full_like(xs, np.inf))
+    assert _screened_lower_bound(pole, 64) == 0.0
+    assert _screened_lower_bound(Residual(BernsteinForm(4, np.zeros(5))), 64) == 0.0
 
 
 # -- the grid-basis cache ------------------------------------------------------------
