@@ -45,9 +45,9 @@ from .basis import (
 )
 from .catalog import FunctionSpec
 from .errors import PreconditionError
+from .exactpoly import u_coefficients_exact
 from .operators import (
     BernsteinForm,
-    apply_U,
     apply_Utilde_to_form,
     dtilde_coefficient_map,
     dtilde_form,
@@ -131,7 +131,6 @@ class SupNormEstimate:
 
     value: float
     argmax: float
-    grid_size: int
 
 
 @dataclass(frozen=True)
@@ -401,7 +400,7 @@ def sup_norm(fn: BernsteinForm | Residual | Callable, grid_size: int = DEFAULT_G
     for x, v in ((c, fc), (d, fd)):
         if v > best_v:
             best_x, best_v = x, v
-    return SupNormEstimate(value=best_v, argmax=best_x, grid_size=grid_size)
+    return SupNormEstimate(value=best_v, argmax=best_x)
 
 
 def distance(p: BernsteinForm, f: FunctionSpec, grid_size: int = DEFAULT_GRID) -> float:
@@ -412,19 +411,19 @@ def distance(p: BernsteinForm, f: FunctionSpec, grid_size: int = DEFAULT_GRID) -
 class Sweep:
     """The operator outputs and norms of one run, each computed once.
 
-    Every check of a function takes them from here.  Values are keyed by the
-    function spec, so two specs that share a name never share a value.  A
-    miss of U_m f for a function of ``fs`` that takes the quadrature path
-    computes U_m of every one of them that lacks it in one call, storing none
-    that fails, and raises only for f; a function outside ``fs`` takes a call
-    of its own.  The sup norms are taken on the grid of ``grid_size`` points,
-    the quadratures to ``tol``.
+    Every check takes them from here; U_m f is formed here alone.  Values are
+    keyed by the function spec, so two specs that share a name never share a
+    value.  A polynomial takes its exact coefficients; a miss of U_m f for a
+    quadrature function of ``fs`` computes U_m of every one that lacks it in
+    one call, storing none that fails, and raises only for f; a function
+    outside ``fs`` is a batch of one.  The sup norms are taken on the grid of
+    ``grid_size`` points, the quadratures to ``tol``.
     """
 
     def __init__(self, fs: Sequence[FunctionSpec], grid_size: int, tol: float) -> None:
         self.grid_size = grid_size
         self.tol = tol
-        self._quadrature = tuple(dict.fromkeys(f for f in fs if f.poly is None))
+        self._fs = tuple(dict.fromkeys(fs))
         self._values: dict[tuple, object] = {}
 
     def _memoized(self, key: tuple, compute: Callable):
@@ -433,15 +432,18 @@ class Sweep:
         return self._values[key]
 
     def U(self, f: FunctionSpec, m: int) -> BernsteinForm:
-        if ("U", f, m) not in self._values and f in self._quadrature:
-            lacking = [g for g in self._quadrature if ("U", g, m) not in self._values]
+        if ("U", f, m) not in self._values and f.poly is None:
+            batch = self._fs if f in self._fs else (f,)
+            lacking = [g for g in batch if g.poly is None and ("U", g, m) not in self._values]
             coeffs = dict(zip(lacking, u_coefficients_numeric(lacking, m, self.tol)))
             for g, u in coeffs.items():
                 if not isinstance(u, Exception):
                     self._values["U", g, m] = BernsteinForm(m, u)
             if isinstance(coeffs[f], Exception):
                 raise coeffs[f]
-        return self._memoized(("U", f, m), lambda: apply_U(f, m, self.tol))
+        return self._memoized(
+            ("U", f, m), lambda: BernsteinForm(m, [float(c) for c in u_coefficients_exact(f.poly, m)])
+        )
 
     def Utilde(self, f: FunctionSpec, m: int) -> BernsteinForm:
         return self._memoized(("Utilde", f, m), lambda: utilde_from_u(self.U(f, m)))
@@ -469,17 +471,20 @@ class Sweep:
         g = self.Utilde3(f, m)
         return self._memoized(("iterate_distance", f, m), lambda: distance(g, f, self.grid_size))
 
+    def D2Utilde3(self, f: FunctionSpec, m: int) -> BernsteinForm:
+        """Dtilde^2 Utilde_m^3 f, from the exact coefficient map."""
+        return self._memoized(("D2Utilde3", f, m), lambda: dtilde_form(dtilde_form(self.Utilde3(f, m))))
+
     def iterate_d2_norm(self, f: FunctionSpec, m: int) -> float:
-        """||Dtilde^2 Utilde_m^3 f||, from the exact coefficient map."""
-        d2 = dtilde_form(dtilde_form(self.Utilde3(f, m)))
+        """||Dtilde^2 Utilde_m^3 f||."""
+        d2 = self.D2Utilde3(f, m)
         return self._memoized(("iterate_d2_norm", f, m), lambda: sup_norm(d2, self.grid_size).value)
 
     def iterate_lower_bounds(self, f: FunctionSpec, m: int) -> tuple[float, float]:
         """Lower bounds of (iterate_distance, iterate_d2_norm) that take no sup norm:
         each norm once computed, else its _screened_lower_bound, computed once."""
-        g = self.Utilde3(f, m)
-        d2 = Residual(dtilde_form(dtilde_form(g)))
-        forms = {"iterate_distance": Residual(g, f.eval), "iterate_d2_norm": d2}
+        g, d2 = self.Utilde3(f, m), self.D2Utilde3(f, m)
+        forms = {"iterate_distance": Residual(g, f.eval), "iterate_d2_norm": Residual(d2)}
         return tuple(
             self._values[name, f, m] if (name, f, m) in self._values
             else self._memoized(("lower", name, f, m), lambda: _screened_lower_bound(form, self.grid_size))

@@ -17,6 +17,7 @@ from .errors import IntegrationError, InvariantViolation, PreconditionError, Tol
 from .exactpoly import apply_Utilde_exact, commute_check_exact, telescope_check_exact
 from .operators import BernsteinForm
 from .analysis import (
+    DEFAULT_GRID,
     InequalityReport,
     Sweep,
     check_bernstein_inequality,
@@ -369,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="n values: comma list or start:factor:count")
         p.add_argument("--ell-mult", type=int, default=16,
                        help="second scale multiplier: ell = mult * n (converse)")
-        p.add_argument("--grid", type=int, default=2001, help="sup-norm grid size")
+        p.add_argument("--grid", type=int, default=DEFAULT_GRID, help="sup-norm grid size")
         p.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")

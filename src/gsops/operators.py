@@ -1,11 +1,11 @@
-"""Floating-point application of U_n, Utilde_n and powers of Dtilde.
+"""Float algebra on Bernstein forms: U_n and Utilde_n of a form, powers of Dtilde.
 
 Operator outputs are closed-form polynomials held as BernsteinForm (degree-n
-Bernstein coefficients, de Casteljau evaluation).  Dtilde acts as a closed
-coefficient map degree n -> degree n, so Dtilde^2 and Dtilde^3 of operator
-outputs never involve numerical differentiation.  For catalog functions the
-powers of Dtilde are expanded symbolically into exact coefficient polynomials
-against the analytic derivatives.
+Bernstein coefficients, de Casteljau evaluation); analysis.Sweep forms U_n f.
+Dtilde acts as a closed coefficient map degree n -> degree n, so Dtilde^2 and
+Dtilde^3 of operator outputs never involve numerical differentiation.  For
+catalog functions the powers of Dtilde are expanded symbolically into exact
+coefficient polynomials against the analytic derivatives.
 
 All transformations are pure; grid sweeps may run concurrently without
 changing any result (fixed summation orders throughout).
@@ -22,24 +22,18 @@ import numpy as np
 
 from .basis import _eval_chunk
 from .catalog import MAX_DERIVATIVE_ORDER, FunctionSpec
-from .exactpoly import PHI, RationalPoly, u_coefficients_exact
-from .quadrature import u_coefficients_numeric
+from .exactpoly import PHI, RationalPoly
 
 __all__ = [
-    "DEFAULT_TOL",
     "BernsteinForm",
     "dtilde_form",
     "dtilde_coefficient_map",
     "u_coefficient_matrix",
-    "apply_U",
-    "apply_U_to_form",
     "apply_Utilde_to_form",
     "utilde_from_u",
     "dtilde_power_terms",
     "dtilde_of_function",
 ]
-
-DEFAULT_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,12 +175,6 @@ def u_coefficient_matrix(n: int, operand_degree: int) -> np.ndarray:
     return A
 
 
-def apply_U_to_form(p: BernsteinForm, n: int) -> BernsteinForm:
-    """U_n applied to a polynomial already in Bernstein form."""
-    u = u_coefficient_matrix(n, p.n) @ p.coeffs
-    return BernsteinForm(n, u)
-
-
 def utilde_from_u(p: BernsteinForm) -> BernsteinForm:
     """Utilde_n f = U_n f - (1/n) Dtilde U_n f from p = U_n f of degree n."""
     return p - dtilde_form(p).scale(1.0 / p.n)
@@ -194,22 +182,7 @@ def utilde_from_u(p: BernsteinForm) -> BernsteinForm:
 
 def apply_Utilde_to_form(p: BernsteinForm, n: int) -> BernsteinForm:
     """Utilde_n applied to a polynomial already in Bernstein form."""
-    return utilde_from_u(apply_U_to_form(p, n))
-
-
-def apply_U(f: FunctionSpec, n: int, tol: float = DEFAULT_TOL) -> BernsteinForm:
-    """U_n f as a degree-n Bernstein form.
-
-    Polynomial catalog entries take the exact coefficient path; everything
-    else goes through adaptive quadrature at tolerance ``tol``.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if f.poly is not None:
-        u = np.array([float(c) for c in u_coefficients_exact(f.poly, n)])
-    else:
-        u = u_coefficients_numeric(f, n, tol)
-    return BernsteinForm(n, u)
+    return utilde_from_u(BernsteinForm(n, u_coefficient_matrix(n, p.n) @ p.coeffs))
 
 
 @lru_cache(maxsize=None)

@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from typing import TYPE_CHECKING
+from typing import Sequence
 
 import numpy as np
 
 from .basis import bernstein_matrix
+from .catalog import FunctionSpec
 from .errors import IntegrationError, ToleranceError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .catalog import FunctionSpec
 
 __all__ = ["u_coefficients_numeric"]
 
@@ -83,7 +81,7 @@ def _panel_points(panels: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, wts
 
 
-def _refinement(f: "FunctionSpec", n: int, target_tol: float):
+def _refinement(f: FunctionSpec, n: int, target_tol: float):
     """u_{n,k}(f) as a generator, sent (points, weights, basis) of 1, 2, 4, ... panels in turn."""
     u0 = float(f.eval(0.0))
     un = float(f.eval(1.0))
@@ -111,22 +109,20 @@ def _refinement(f: "FunctionSpec", n: int, target_tol: float):
     )
 
 
-def u_coefficients_numeric(fs: "FunctionSpec | list | tuple", n: int, target_tol: float):
-    """The coefficients u_{n,k}(f) by quadrature, endpoints taken exactly.
+def u_coefficients_numeric(fs: Sequence[FunctionSpec], n: int, target_tol: float) -> list:
+    """The coefficients u_{n,k}(f) of each f in fs by quadrature, endpoints taken exactly.
 
     The 24-point rule with panel doubling until two successive sweeps of
-    all interior coefficients agree to ``target_tol`` in max norm.  (apply_U
-    takes polynomials by the exact path.)  Raises ToleranceError (carrying
-    the best estimate) if 2**10 panels are not enough.
-
-    For a list or tuple ``fs`` it returns a list with each function's
-    coefficients or error.  The functions share each panel count's basis,
-    and each closes where it would alone, bit for bit as its lone call.
+    all interior coefficients agree to ``target_tol`` in max norm.
+    (analysis.Sweep takes polynomials by the exact path.)  Returns a list with
+    each function's coefficients or its error: a ToleranceError (carrying the
+    best estimate) if 2**10 panels are not enough.  The functions share each
+    panel count's basis, and each closes where it would alone, bit for bit as
+    in a call of its own.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    lone = not isinstance(fs, (list, tuple))
-    pending = {i: _refinement(f, n, target_tol) for i, f in enumerate([fs] if lone else fs)}
+    pending = {i: _refinement(f, n, target_tol) for i, f in enumerate(fs)}
     results: list = [None] * len(pending)
 
     def advance(sweep) -> None:
@@ -146,6 +142,4 @@ def u_coefficients_numeric(fs: "FunctionSpec | list | tuple", n: int, target_tol
         pts, wts = _panel_points(panels)
         advance((pts, wts, bernstein_matrix(n - 2, pts)))
         panels *= 2
-    if lone and isinstance(results[0], Exception):
-        raise results[0]
-    return results[0] if lone else results
+    return results

@@ -1,0 +1,8 @@
+"""Shared by the test modules: U_n f as every command builds it."""
+
+from gsops.analysis import DEFAULT_GRID, Sweep
+
+
+def sweep_U(f, n, tol=1e-10):
+    """U_n f from a Sweep of f alone, at quadrature tolerance ``tol``."""
+    return Sweep([f], DEFAULT_GRID, tol).U(f, n)

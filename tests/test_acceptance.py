@@ -52,7 +52,9 @@ from gsops.exactpoly import (
     commute_check_exact,
     telescope_check_exact,
 )
-from gsops.operators import DEFAULT_TOL, apply_U, utilde_from_u
+from gsops.operators import utilde_from_u
+
+from helpers import sweep_U
 
 EXACT_POLYS = {
     "t2": RationalPoly([0, 0, 1]),
@@ -183,7 +185,7 @@ def test_criterion_5_jackson():
     assert {f.name for f in eligible} == {"one", "t", "t2", "t3", "t5mt2", "exp", "sinpi"}
     all_pass = True
     for f in eligible:
-        sweep = Sweep([f], DEFAULT_GRID, DEFAULT_TOL)
+        sweep = Sweep([f], DEFAULT_GRID, 1e-10)
         for n in (2, 4, 8, 16, 32, 64):
             rep = check_jackson(f, n, sweep)
             all_pass &= rep.passed
@@ -201,11 +203,11 @@ def test_criterion_6_voronovskaya():
     all_pass = True
     for name in ("t2", "t3", "exp"):
         f = get_function(name)
-        sweep = Sweep([f], DEFAULT_GRID, DEFAULT_TOL)
+        sweep = Sweep([f], DEFAULT_GRID, 1e-10)
         for n in (2, 4, 8, 16, 32):
             all_pass &= check_voronovskaya(f, n, sweep).passed
     t2 = get_function("t2")
-    rep = check_voronovskaya(t2, 2, Sweep([t2], DEFAULT_GRID, DEFAULT_TOL))
+    rep = check_voronovskaya(t2, 2, Sweep([t2], DEFAULT_GRID, 1e-10))
     lam2 = math.pi**2 / 6.0 - 1.5  # high-precision tail-sum oracle
     th2 = math.pi**2 / 3.0 - 3.25
     lhs_ok = abs(rep.lhs - abs(1.0 / 3.0 - 4.0 * lam2) / 4.0) <= 1e-9
@@ -222,7 +224,7 @@ def test_criterion_6_voronovskaya():
 def test_criterion_7a_bernstein_bound_catalog_and_probes():
     all_pass = True
     for f in CATALOG.values():
-        sweep = Sweep([f], DEFAULT_GRID, DEFAULT_TOL)
+        sweep = Sweep([f], DEFAULT_GRID, 1e-10)
         for n in range(2, 65):
             all_pass &= check_bernstein_inequality(f, n, sweep).passed
     worst_ratio = 0.0
@@ -342,7 +344,7 @@ NS_STATED = (4, 8, 16, 32, 64)
 
 def rate_fit(f, ns, operator):
     """Slope of log ||Op_n f - f|| against log n, and the (n, error) rows."""
-    op = apply_U if operator == "U" else (lambda f, n: utilde_from_u(apply_U(f, n)))
+    op = sweep_U if operator == "U" else (lambda f, n: utilde_from_u(sweep_U(f, n)))
     rows = [(n, distance(op(f, n), f)) for n in ns]
     return loglog_slope(f.name, rows), rows
 
@@ -448,7 +450,7 @@ def test_criterion_9b_rate_windows_as_stated(criterion_9_slopes):
     stated_certified = set()
     for name in ("t2", "exp", "sinpi"):
         f = get_function(name)
-        sweep = Sweep([f], DEFAULT_GRID, DEFAULT_TOL)
+        sweep = Sweep([f], DEFAULT_GRID, 1e-10)
         d2, d3 = sweep.dtilde_norm(f, 2), sweep.dtilde_norm(f, 3)
 
         stated = _voronovskaya_slope_interval(d2, d3, NS_STATED)
@@ -484,10 +486,10 @@ def test_criterion_10_sandwich_direct_converse():
     worst = ""
     for name in sorted(CATALOG):
         f = get_function(name)
-        sweep = Sweep([f], DEFAULT_GRID, DEFAULT_TOL)
+        sweep = Sweep([f], DEFAULT_GRID, 1e-10)
         for n in (2, 4, 8):
             sw = kfunctional_sandwich(f, n, sweep)
-            err_n = sup_norm(lambda x, p=utilde_from_u(apply_U(f, n)): p.eval(x) - f.eval(x)).value
+            err_n = sup_norm(lambda x, p=utilde_from_u(sweep_U(f, n)): p.eval(x) - f.eval(x)).value
             sandwich_ok = within(sw.lower, sw.upper)
             direct_ok = within(err_n, (1.0 + SQRT3) * sw.upper)
             main, iterate = check_converse(f, n, 16 * n, sweep)
@@ -496,7 +498,7 @@ def test_criterion_10_sandwich_direct_converse():
                 worst = f"{name} n={n}"
     # the scale threshold is enforced: ell = 15 n < ceil(L n) must be rejected
     with pytest.raises(PreconditionError):
-        check_converse(get_function("t2"), 4, 15 * 4, Sweep([], DEFAULT_GRID, DEFAULT_TOL))
+        check_converse(get_function("t2"), 4, 15 * 4, Sweep([], DEFAULT_GRID, 1e-10))
     assert math.ceil(CONVERSE_SCALE_FACTOR * 4) <= 64  # ell = 16n passes the gate
     assert CONVERSE_CONSTANT == pytest.approx(4.0 + SQRT3 + BERNSTEIN_CONSTANT**2)
     announce("10 sandwich + direct + converse", all_ok,

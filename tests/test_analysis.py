@@ -38,14 +38,14 @@ from gsops.catalog import catalog_names, get_function, polynomial_function
 from gsops.errors import PreconditionError
 from gsops.exactpoly import ExactBernsteinForm, RationalPoly, dtilde_exact
 from gsops.operators import (
-    DEFAULT_TOL,
     BernsteinForm,
-    apply_U,
-    apply_U_to_form,
     apply_Utilde_to_form,
     dtilde_form,
+    u_coefficient_matrix,
     utilde_from_u,
 )
+
+from helpers import sweep_U
 
 T2 = RationalPoly([0, 0, 1])
 T3 = RationalPoly([0, 0, 0, 1])
@@ -53,7 +53,7 @@ T3 = RationalPoly([0, 0, 0, 1])
 
 def fresh_sweep(*fs) -> Sweep:
     """A Sweep of fs alone, on the CLI's default grid and tolerance."""
-    return Sweep(fs, DEFAULT_GRID, DEFAULT_TOL)
+    return Sweep(fs, DEFAULT_GRID, 1e-10)
 
 
 def bernstein_form_from_poly(q: RationalPoly, n: int) -> BernsteinForm:
@@ -82,7 +82,7 @@ def test_sup_norm_parabola():
 def test_sup_norm_operator_error_closed_form():
     # Utilde_3 t^2 - t^2 = phi/6, sup = 1/24
     f = get_function("t2")
-    p = utilde_from_u(apply_U(f, 3))
+    p = utilde_from_u(sweep_U(f, 3))
     est = sup_norm(lambda x: p.eval(x) - f.eval(x))
     assert est.value == pytest.approx(1.0 / 24.0, abs=1e-13)
 
@@ -212,7 +212,7 @@ def test_voronovskaya_sharpened_residual_t2(n):
     # (2/(n(n+1)) - 4 lambda(n)) phi
     f = get_function("t2")
     ts = tail_sums(n)
-    p = utilde_from_u(apply_U(f, n))
+    p = utilde_from_u(sweep_U(f, n))
     coeff = 2.0 / (n * (n + 1)) - 4.0 * ts.lam
     xs = np.linspace(0.0, 1.0, 4001)
     residual = p.eval(xs) - xs**2 + ts.lam * (-4.0 * xs * (1 - xs))
@@ -344,7 +344,7 @@ def test_sandwich_memo_shared_across_n_changes_nothing(name):
     # its siblings
     f = get_function(name)
     siblings = [get_function(other) for other in ("t2", "exp", "abs52") if other != name]
-    shared = Sweep([f, *siblings], DEFAULT_GRID, DEFAULT_TOL)
+    shared = Sweep([f, *siblings], DEFAULT_GRID, 1e-10)
 
     def outcome(check, g, *args, sweep):
         try:
@@ -364,7 +364,7 @@ def test_sandwich_memo_shared_across_n_changes_nothing(name):
                 assert outcome(check, g, *args, sweep=shared) == outcome(check, g, *args, sweep=fresh_sweep(g))
     for m in (2, 4, 8):
         # the stored candidate norms are those of Utilde_m^3 f built afresh
-        g = apply_Utilde_to_form(apply_Utilde_to_form(utilde_from_u(apply_U(f, m)), m), m)
+        g = apply_Utilde_to_form(apply_Utilde_to_form(utilde_from_u(sweep_U(f, m)), m), m)
         assert shared.Utilde3(f, m).coeffs.tobytes() == g.coeffs.tobytes()
         assert shared.iterate_distance(f, m) == distance(g, f)
         assert shared.iterate_d2_norm(f, m) == sup_norm(dtilde_form(dtilde_form(g))).value
@@ -391,7 +391,7 @@ def test_sandwich_pruning_changes_no_bit(monkeypatch):
         return operator_outputs[f, m]
 
     def sandwiches(grid_size):
-        sweep = Sweep(fs, grid_size, DEFAULT_TOL)
+        sweep = Sweep(fs, grid_size, 1e-10)
         calls.clear()
         return {(f.name, n): kfunctional_sandwich(f, n, sweep) for f in fs for n in ns}, len(calls)
 
@@ -443,7 +443,7 @@ def test_direct_inequality():
         assert sandwich.passed and direct.passed
         # one sandwich: the direct row's lhs is its error, the sandwich's lhs its lower bound
         sw = kfunctional_sandwich(f, 4, fresh_sweep(f))
-        assert direct.lhs == sw.err == distance(utilde_from_u(apply_U(f, 4)), f)
+        assert direct.lhs == sw.err == distance(utilde_from_u(sweep_U(f, 4)), f)
         assert sandwich.lhs == sw.lower == sw.err / (1.0 + SQRT3)
         assert (sandwich.rhs, direct.rhs) == (sw.upper, (1.0 + SQRT3) * sw.upper)
 
@@ -455,7 +455,7 @@ def test_converse_uses_the_sandwich_error():
     f = get_function("exp")
     main, iterate = check_converse(f, 2, 32, fresh_sweep(f))
     sw = kfunctional_sandwich(f, 2, fresh_sweep(f))
-    err_ell = distance(utilde_from_u(apply_U(f, 32)), f)
+    err_ell = distance(utilde_from_u(sweep_U(f, 32)), f)
     assert main.lhs == sw.upper
     assert main.rhs == CONVERSE_CONSTANT * (32 / 2) ** 2 * (sw.err + err_ell)
     assert iterate.rhs == (4.0 + SQRT3) * sw.err
@@ -496,7 +496,7 @@ NS = (4, 8, 16, 32, 64)
 
 def rate_fit(f, ns, operator="Utilde"):
     """Slope of log ||Op_n f - f|| against log n, and the (n, error) rows."""
-    op = apply_U if operator == "U" else (lambda f, n: utilde_from_u(apply_U(f, n)))
+    op = sweep_U if operator == "U" else (lambda f, n: utilde_from_u(sweep_U(f, n)))
     rows = [(n, distance(op(f, n), f)) for n in ns]
     return loglog_slope(f.name, rows), rows
 
@@ -554,9 +554,9 @@ def test_series_representation_float_pipeline():
     xs = np.linspace(0.0, 1.0, 2001)
     acc = np.zeros_like(xs)
     for k in range(n, N + 1):
-        term = dtilde_form(apply_U_to_form(df_form, k + 1))
+        term = dtilde_form(BernsteinForm(k + 1, u_coefficient_matrix(k + 1, df_form.n) @ df_form.coeffs))
         acc += term.eval(xs) / (k * k * (k + 1))
-    p = utilde_from_u(apply_U(f, n))
+    p = utilde_from_u(sweep_U(f, n))
     resid = p.eval(xs) - f.eval(xs) + acc
     d2_sup = fresh_sweep(f).dtilde_norm(f, 2)
     assert float(np.max(np.abs(resid))) <= d2_sup * tail_sums(N + 1).lam

@@ -39,6 +39,8 @@ from gsops.cli import (
     render,
 )
 
+from helpers import sweep_U
+
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "reference"
 
@@ -271,9 +273,9 @@ def test_stdout_output(capsys):
 
 def test_eval_round_trip(tmp_path):
     from gsops.catalog import get_function
-    from gsops.operators import apply_U, utilde_from_u
+    from gsops.operators import utilde_from_u
 
-    form = utilde_from_u(apply_U(get_function("t2"), 3))
+    form = utilde_from_u(sweep_U(get_function("t2"), 3))
     form_path = tmp_path / "form.json"
     form_path.write_text(json.dumps(form.to_json_dict()), encoding="utf-8")
     code, text = run_cli(tmp_path, "eval", "--form", str(form_path), "--points", "0,0.5,1")
@@ -367,12 +369,12 @@ def test_unreachable_tolerance_in_a_shared_quadrature_is_the_first_functions(cap
     from gsops.errors import ToleranceError
     from gsops.quadrature import u_coefficients_numeric
 
-    with pytest.raises(ToleranceError) as lone:
-        u_coefficients_numeric(get_function("exp"), 4, 1e-300)
+    lone = u_coefficients_numeric([get_function("exp")], 4, 1e-300)[0]
+    assert type(lone) is ToleranceError
     assert main(["kfunc", "--fns", "exp,abs52", "--tol", "1e-300"]) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"gsops: ToleranceError: {lone.value}\n"
+    assert err == f"gsops: ToleranceError: {lone}\n"
     assert err.startswith("gsops: ToleranceError: u_{4,k}(exp) did not reach tol=1e-300")
 
 
@@ -479,7 +481,7 @@ def test_cli_defines_no_check():
 def test_analysis_takes_operator_outputs_from_the_sweep():
     # U_n f and Utilde_n f are built in analysis.Sweep alone, which computes
     # each once per run; no other function of gsops.analysis reads a builder
-    builders = {"apply_U", "utilde_from_u", "u_coefficients_numeric"}
+    builders = {"utilde_from_u", "apply_Utilde_to_form", "u_coefficients_numeric", "u_coefficients_exact"}
     readers = set()
     for node in _module_trees()["analysis"].body:
         if isinstance(node, ast.ClassDef) and node.name == "Sweep":
@@ -488,6 +490,27 @@ def test_analysis_takes_operator_outputs_from_the_sweep():
             if isinstance(inner, ast.Name) and inner.id in builders:
                 readers.add(getattr(node, "name", "<module>"))
     assert sorted(readers) == []
+
+
+def test_U_m_f_is_formed_in_analysis_alone():
+    # operators is float algebra on Bernstein forms and imports nothing of
+    # quadrature; no module but analysis (where Sweep alone reads them, see
+    # above) reads the coefficients of U_m f, apart from exactpoly's own
+    # exact forms
+    trees = _module_trees()
+    from_quadrature = [
+        node for node in ast.walk(trees["operators"])
+        if isinstance(node, ast.ImportFrom) and "quadrature" in (node.module, *(a.name for a in node.names))
+        or isinstance(node, ast.Import) and any(a.name.endswith("quadrature") for a in node.names)
+    ]
+    assert from_quadrature == []
+    readers = [
+        f"{stem}.{name}"
+        for stem, tree in trees.items() if stem != "analysis"
+        for name in ("u_coefficients_numeric", "u_coefficients_exact")
+        if name in _names_used(tree) and (stem, name) != ("exactpoly", "u_coefficients_exact")
+    ]
+    assert readers == []
 
 
 def _names_used(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -701,7 +724,6 @@ def test_sandwich_sweep_takes_each_norm_once(tmp_path, monkeypatch, command, mos
     # exp alone: its abs52 rows are precondition skips, so abs52 is never
     # evaluated, not even at quadrature nodes
     import gsops.analysis
-    import gsops.operators
 
     calls, quadrature_calls, evaluated = [], [], set()
     plain = gsops.analysis.sup_norm
@@ -719,12 +741,13 @@ def test_sandwich_sweep_takes_each_norm_once(tmp_path, monkeypatch, command, mos
 
     monkeypatch.setattr(gsops.analysis, "sup_norm", counting)
     monkeypatch.setattr(gsops.cli, "sup_norm", counting, raising=False)
-    for module in (gsops.analysis, gsops.operators):
-        def counting_quadrature(*args, _plain=module.u_coefficients_numeric, **kwargs):
-            quadrature_calls.append(args[1])
-            return _plain(*args, **kwargs)
+    plain_quadrature = gsops.analysis.u_coefficients_numeric
 
-        monkeypatch.setattr(module, "u_coefficients_numeric", counting_quadrature)
+    def counting_quadrature(*args, **kwargs):
+        quadrature_calls.append(args[1])
+        return plain_quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(gsops.analysis, "u_coefficients_numeric", counting_quadrature)
     argv = [command, "--fns", "t2,exp,abs52", "--n", "2:2:5", "--ell-mult", "16", "--seed", "1"]
     assert main([*argv, "--out", str(tmp_path / "out.csv")]) == EXIT_OK
     assert 0 < len(calls) <= most

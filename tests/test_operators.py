@@ -18,8 +18,6 @@ from gsops.exactpoly import (
 )
 from gsops.operators import (
     BernsteinForm,
-    apply_U,
-    apply_U_to_form,
     apply_Utilde_to_form,
     dtilde_coefficient_map,
     dtilde_form,
@@ -28,6 +26,8 @@ from gsops.operators import (
     u_coefficient_matrix,
     utilde_from_u,
 )
+
+from helpers import sweep_U
 
 EPS = float(np.finfo(float).eps)
 GRID = np.linspace(0.0, 1.0, 2001)
@@ -122,44 +122,44 @@ def test_dtilde_form_eigen_relation(n):
         assert d.eval(xs) == pytest.approx(expected, abs=1e-10 * n**2)
 
 
-# -- apply_U -------------------------------------------------------------------
+# -- U_n f, as Sweep.U builds it ----------------------------------------------
 
 
 def test_apply_U_reproduces_linears():
     t = get_function("t")
-    p = apply_U(t, 9)
+    p = sweep_U(t, 9)
     assert p.coeffs == pytest.approx(np.arange(10) / 9, abs=1e-16)
     assert sup_on_grid(lambda x: p.eval(x) - x) <= 1e-12
 
 
 def test_apply_U_constant():
     one = get_function("one")
-    assert apply_U(one, 6).coeffs == pytest.approx(np.ones(7), abs=0.0)
+    assert sweep_U(one, 6).coeffs == pytest.approx(np.ones(7), abs=0.0)
 
 
 def test_apply_U_t2_value():
-    p = apply_U(get_function("t2"), 2)
+    p = sweep_U(get_function("t2"), 2)
     assert p.eval(0.5) == pytest.approx(5.0 / 12.0, abs=1e-15)
 
 
 def test_apply_U_transcendental_matches_quadrature_route():
     exp = get_function("exp")
-    p = apply_U(exp, 5, 1e-12)
+    p = sweep_U(exp, 5, 1e-12)
     assert p.eval(0.0) == 1.0 and p.eval(1.0) == pytest.approx(math.e, abs=0.0)
 
 
-# -- Utilde_n f, as utilde_from_u(apply_U(f, n)) ------------------------------
+# -- Utilde_n f, as utilde_from_u(sweep_U(f, n)) ------------------------------
 
 
 def test_apply_Utilde_fixes_linears():
     t = get_function("t")
     for n in (1, 2, 5, 50, 100):
-        p = utilde_from_u(apply_U(t, n))
+        p = utilde_from_u(sweep_U(t, n))
         assert sup_on_grid(lambda x: p.eval(x) - x) <= 1e-12
 
 
 def test_apply_Utilde_t2_n3():
-    p = utilde_from_u(apply_U(get_function("t2"), 3))
+    p = utilde_from_u(sweep_U(get_function("t2"), 3))
     assert p.eval(0.5) == pytest.approx(0.25 + 0.25 / 6.0, abs=1e-14)
 
 
@@ -167,7 +167,7 @@ def test_apply_Utilde_t2_n3():
 @pytest.mark.parametrize("n", [2, 3, 8, 17])
 def test_apply_Utilde_matches_exact_oracle(name, n):
     f = get_function(name)
-    p = utilde_from_u(apply_U(f, n))
+    p = utilde_from_u(sweep_U(f, n))
     exact = apply_Utilde_exact(f.poly, n).to_poly()
     assert sup_on_grid(lambda t: p.eval(t) - exact.eval_float(t)) <= 1e-10
 
@@ -175,7 +175,7 @@ def test_apply_Utilde_matches_exact_oracle(name, n):
 def test_apply_Utilde_exp_jackson_scale():
     # sup distance to a dense reference stays below the Jackson bound
     exp = get_function("exp")
-    p = utilde_from_u(apply_U(exp, 4, 1e-12))
+    p = utilde_from_u(sweep_U(exp, 4, 1e-12))
     dense = np.linspace(0.0, 1.0, 1_000_001)
     dist = float(np.max(np.abs(p.eval(dense) - np.exp(dense))))
     d2 = dtilde_of_function(exp, 2)
@@ -188,7 +188,7 @@ def test_apply_Utilde_exp_jackson_scale():
 def test_contraction_toward_f(name, n):
     # || Utilde_n f - f || <= (2/n) || Dtilde f ||
     f = get_function(name)
-    p = utilde_from_u(apply_U(f, n))
+    p = utilde_from_u(sweep_U(f, n))
     lhs = sup_on_grid(lambda x: p.eval(x) - f.eval(x))
     d1 = dtilde_of_function(f, 1)
     rhs = 2.0 / n * sup_on_grid(d1)
@@ -202,7 +202,7 @@ def test_contraction_toward_f(name, n):
 @pytest.mark.parametrize("n", [2, 9, 41, 100])
 def test_endpoint_interpolation(name, n):
     f = get_function(name)
-    pu = apply_U(f, n, 1e-10)
+    pu = sweep_U(f, n, 1e-10)
     for p in (pu, utilde_from_u(pu)):
         assert abs(p.eval(0.0) - f.eval(0.0)) <= 1e-12
         assert abs(p.eval(1.0) - f.eval(1.0)) <= 1e-12
@@ -215,7 +215,7 @@ def test_endpoint_interpolation(name, n):
 @pytest.mark.parametrize("n", [2, 5, 11, 23, 40])
 def test_commutation_float(name, n):
     f = get_function(name)
-    left = dtilde_form(utilde_from_u(apply_U(f, n)))
+    left = dtilde_form(utilde_from_u(sweep_U(f, n)))
     right = utilde_of_poly(dtilde_exact(f.poly), n)
     normf = sup_on_grid(f.eval)
     dev = sup_on_grid(lambda x: left.eval(x) - right.eval(x))
@@ -228,7 +228,7 @@ def test_commutation_float(name, n):
 def test_iterate_matches_exact_composition():
     # float Utilde_2(Utilde_2 t^2) against the exact-engine composition
     f = get_function("t2")
-    got = apply_Utilde_to_form(utilde_from_u(apply_U(f, 2)), 2)
+    got = apply_Utilde_to_form(utilde_from_u(sweep_U(f, 2)), 2)
     inner = apply_Utilde_exact(T2, 2).to_poly()
     outer = apply_Utilde_exact(inner, 2).to_poly()
     assert sup_on_grid(lambda t: got.eval(t) - outer.eval_float(t)) <= 1e-10
@@ -238,7 +238,7 @@ def test_iterate_matches_exact_composition():
 @pytest.mark.parametrize("n", [3, 8])
 def test_triple_iterate_norm_bound(name, n):
     f = get_function(name)
-    p = apply_Utilde_to_form(apply_Utilde_to_form(utilde_from_u(apply_U(f, n)), n), n)
+    p = apply_Utilde_to_form(apply_Utilde_to_form(utilde_from_u(sweep_U(f, n)), n), n)
     lhs = sup_on_grid(p.eval)
     rhs = 3.0 * math.sqrt(3.0) * sup_on_grid(f.eval)
     assert lhs <= rhs * (1 + 1e-9) + 1e-12
@@ -252,9 +252,9 @@ def test_apply_U_to_form_matches_exact(n):
     # operand of a different degree than the operator index
     q = RationalPoly([1, -2, 0, "3/2", 0, 1])
     form = bernstein_form_from_poly(q, q.degree)
-    got = apply_U_to_form(form, n)
+    got = u_coefficient_matrix(n, form.n) @ form.coeffs
     exact = [float(c) for c in u_coefficients_exact(q, n)]
-    assert got.coeffs == pytest.approx(exact, abs=1e-13)
+    assert got == pytest.approx(exact, abs=1e-13)
 
 
 def test_apply_Utilde_to_form_matches_exact():

@@ -48,14 +48,14 @@ from gsops.basis import (
 )
 from gsops.catalog import catalog_names, get_function
 from gsops.operators import (
-    DEFAULT_TOL,
     BernsteinForm,
-    apply_U,
     apply_Utilde_to_form,
     dtilde_form,
     dtilde_of_function,
     utilde_from_u,
 )
+
+from helpers import sweep_U
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -352,11 +352,11 @@ def test_sup_norm_random_forms_match_full_pass(seed):
 
 def apply_Utilde(f, n):
     """Utilde_n f, built from U_n f."""
-    return utilde_from_u(apply_U(f, n))
+    return utilde_from_u(sweep_U(f, n))
 
 
 @pytest.mark.parametrize("name", ["one", "t"])
-@pytest.mark.parametrize("apply", [apply_U, apply_Utilde])
+@pytest.mark.parametrize("apply", [sweep_U, apply_Utilde], ids=["apply_U", "apply_Utilde"])
 def test_sup_norm_flat_operator_errors_match_full_pass(name, apply):
     # operators reproduce linear functions, so the error is rounding noise and
     # every grid point is a candidate for the max
@@ -423,7 +423,7 @@ def test_sup_norm_mirror_symmetric_maxima_match_full_pass():
 def test_sup_norm_voronovskaya_residual_matches_full_pass(name, n):
     f = get_function(name)
     lam = tail_sums(n).lam
-    p = utilde_from_u(apply_U(f, n))
+    p = utilde_from_u(sweep_U(f, n))
     d2f = dtilde_of_function(f, 2)
     assert_same_as_full_pass(
         Residual(p, f.eval, d2f, lam), lambda xs: p.eval(xs) - f.eval(xs) + lam * d2f(xs)
@@ -435,7 +435,7 @@ def test_sup_norm_voronovskaya_residual_matches_full_pass(name, n):
 
 def test_residual_call_is_the_lambda():
     f = get_function("exp")
-    p = utilde_from_u(apply_U(f, 9))
+    p = utilde_from_u(sweep_U(f, 9))
     d2f = dtilde_of_function(f, 2)
     xs = np.linspace(0.0, 1.0, 101)
     assert np.array_equal(Residual(p)(xs), p.eval(xs))
@@ -482,7 +482,7 @@ def test_lookahead_voronovskaya_residual_matches_sequential_walk(name, n, grid_s
     # grid 2001 is test_sup_norm_voronovskaya_residual_matches_full_pass
     f = get_function(name)
     lam = tail_sums(n).lam
-    p = utilde_from_u(apply_U(f, n))
+    p = utilde_from_u(sweep_U(f, n))
     d2f = dtilde_of_function(f, 2)
     assert_same_as_full_pass(
         Residual(p, f.eval, d2f, lam), lambda xs: p.eval(xs) - f.eval(xs) + lam * d2f(xs), grid_size
@@ -563,7 +563,7 @@ def assert_bound_below(fn, grid_size=DEFAULT_GRID):
 
 @pytest.fixture(scope="module")
 def catalog_sweep():
-    return Sweep([get_function(name) for name in catalog_names()], DEFAULT_GRID, DEFAULT_TOL)
+    return Sweep([get_function(name) for name in catalog_names()], DEFAULT_GRID, 1e-10)
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -594,7 +594,7 @@ def test_screened_lower_bound_below_flat_residuals(name, n):
     # rounding noise, where s_i and d_i differ in every bit: only delta keeps
     # the bound below
     f = get_function(name)
-    for p in (apply_U(f, n), apply_Utilde(f, n)):
+    for p in (sweep_U(f, n), apply_Utilde(f, n)):
         assert_bound_below(Residual(p, f.eval))
 
 
@@ -603,7 +603,7 @@ def test_screened_lower_bound_evaluates_no_form(monkeypatch):
         raise AssertionError("evaluated by de Casteljau")
 
     f = get_function("exp")
-    p = utilde_from_u(apply_U(f, 16))
+    p = utilde_from_u(sweep_U(f, 16))
     monkeypatch.setattr(BernsteinForm, "eval", refuse)
     assert _screened_lower_bound(Residual(p, f.eval), DEFAULT_GRID) > 0.0
     assert _screened_lower_bound(Residual(p), 64) > 0.0
@@ -652,7 +652,7 @@ def test_grid_basis_cache_hit_returns_the_same_array():
 def test_module_cache_within_budget_after_a_sweep():
     f = get_function("exp")
     for n in (16, 64, 256, 512):
-        sup_norm(Residual(utilde_from_u(apply_U(f, n)), f.eval))
+        sup_norm(Residual(utilde_from_u(sweep_U(f, n)), f.eval))
         assert _GRID_BASES.nbytes <= GRID_BASIS_BUDGET
 
 
