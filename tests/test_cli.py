@@ -675,12 +675,14 @@ def test_traced_benchmark_pass_runs(tmp_path):
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "Traceback" not in proc.stderr
-    counters = json.loads(spans.read_text(encoding="utf-8"))["counters"]
+    doc = json.loads(spans.read_text(encoding="utf-8"))
+    counters, names = doc["counters"], doc["names"]
     assert counters["operators.u_coefficient_matrix.misses"] > 0
     # golden-section probes go in batches (954 one-point evals with one-point
-    # probes), and the sweep applies each operator once
+    # probes), and the sweep forms U_m t2 once for each m in {2, 4, 8, 16, 32}
     assert counters["operators.eval.point_calls"] < 100
-    assert counters.get("operators.apply.repeats", 0) == 0
+    exact = [s for s in doc["spans"] if names[s[0]] == "exactpoly.u_coefficients_exact"]
+    assert len(exact) == 5
 
 
 def test_traced_sweep_builds_one_quadrature_basis_per_panel_count(tmp_path):

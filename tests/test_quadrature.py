@@ -191,6 +191,14 @@ def test_failing_sibling_raises_only_from_its_own_call():
         sweep.U(pole, 6)
     assert str(raised.value) == str(lone)
     assert sweep.U(exp, 6).coeffs.tobytes() == got_exp.tobytes()
+    # a function outside the sweep's fs is a batch of one: the same bits,
+    # the lone error, and nothing stored for it
+    assert Sweep([], DEFAULT_GRID, 1e-10).U(exp, 6).coeffs.tobytes() == got_exp.tobytes()
+    sweep = Sweep([exp], DEFAULT_GRID, 1e-10)
+    with pytest.raises(IntegrationError) as raised:
+        sweep.U(pole, 6)
+    assert str(raised.value) == str(lone)
+    assert not any(key[1] is pole for key in sweep._values)
 
 
 def test_failing_sibling_in_a_sweep_raises_only_from_its_own_check():
