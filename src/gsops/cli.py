@@ -404,6 +404,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValueError("tolerance must be a finite number > 0")
     if args.probes < 0:
         raise ValueError("probe count must be >= 0")
+    if args.ell_mult < 1:
+        raise ValueError("ell multiplier must be >= 1")
     if args.seed < 0:
         raise ValueError("--seed must be >= 0")
     return RunConfig(

@@ -26,7 +26,6 @@ __all__ = [
     "ExactBernsteinForm",
     "PHI",
     "dtilde_exact",
-    "integrate_against_basis",
     "u_coefficients_exact",
     "apply_U_exact",
     "apply_Utilde_exact",
@@ -170,9 +169,13 @@ class ExactBernsteinForm:
 
         The forward differences are the leading entries of the difference
         table of the coefficients, built one row at a time by subtraction.
+        It stops at its first all-zero row, since every later row is zero:
+        row d+1 for a polynomial of degree d, so O(n d) work, not O(n^2).
         """
         row, out = list(self.coeffs), []
         for j in range(self.n + 1):
+            if not any(row):
+                break
             out.append(math.comb(self.n, j) * row[0])
             row = [b - a for a, b in zip(row, row[1:])]
         return RationalPoly(out)
@@ -219,39 +222,26 @@ class ExactBernsteinForm:
         return max((abs(c) for c in self.coeffs), default=Fraction(0))
 
 
-def integrate_against_basis(m: int, j: int, p: RationalPoly) -> Fraction:
-    """Exact integral over [0,1] of P_{m,j}(t) * p(t).
-
-    Termwise Beta identity: integral of t^(j+q) (1-t)^(m-j) equals
-    (j+q)! (m-j)! / (m+q+1)!.
-    """
-    if not 0 <= j <= m:
-        raise ValueError(f"basis index {j} out of range for degree {m}")
-    binom = math.comb(m, j)
-    total = Fraction(0)
-    for q, a in enumerate(p.coeffs):
-        if a == 0:
-            continue
-        total += a * Fraction(
-            binom * math.factorial(j + q) * math.factorial(m - j),
-            math.factorial(m + q + 1),
-        )
-    return total
-
-
 def u_coefficients_exact(f: RationalPoly, n: int) -> list[Fraction]:
     """The operator coefficients u_{n,k}(f), exactly.
 
-    u_{n,0} = f(0), u_{n,n} = f(1); interior coefficients are
-    (n-1) * integral of P_{n-2,k-1}(t) f(t).  For n = 1 the middle sum is
-    empty and the result is just the endpoint pair.
+    u_{n,0} = f(0), u_{n,n} = f(1), and interior coefficients are (n-1) times
+    the Beta integral of P_{n-2,k-1}(t) f(t).  Its Gamma terms cancel to one
+    closed form for every k and every n >= 1: for f = sum_q a_q t^q,
+    u_{n,k}(f) = sum_q a_q (k)_q / (n)_q with the rising product
+    (x)_q = x(x+1)...(x+q-1), summed in integers over one common denominator.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    us = [f(Fraction(0))]
-    for k in range(1, n):
-        us.append((n - 1) * integrate_against_basis(n - 2, k - 1, f))
-    us.append(f(Fraction(1)))
+    scaled = [a / math.prod(range(n, n + q)) for q, a in enumerate(f.coeffs)]
+    den = math.lcm(*(b.denominator for b in scaled))
+    nums = [b.numerator * (den // b.denominator) for b in scaled]
+    us = []
+    for k in range(n + 1):
+        total = 0  # sum_q nums[q] (k)_q, by Horner's rule
+        for q in reversed(range(len(nums))):
+            total = nums[q] + (k + q) * total
+        us.append(Fraction(total, den))
     return us
 
 

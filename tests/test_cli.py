@@ -323,6 +323,16 @@ def test_negative_probes_is_usage_error(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mult", ["0", "-1"])
+@pytest.mark.parametrize("command", ["kfunc", "converse"])
+def test_ell_mult_below_one_is_usage_error(command, mult, capsys):
+    # ell = mult * n <= 0 is no operator index, not a below-threshold skip
+    assert main([command, "--fns", "t2", "--n", "2", "--ell-mult", mult]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "gsops: configuration error: ell multiplier must be >= 1\n"
+
+
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_negative_seed_is_usage_error_before_any_work(command, capsys):
     argv = [command, "--fns", "t2", "--n", "2", "--seed", "-1"]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsops.basis import tail_sums
+from gsops.catalog import CATALOG
 from gsops.exactpoly import (
     PHI,
     ExactBernsteinForm,
@@ -17,7 +18,6 @@ from gsops.exactpoly import (
     apply_Utilde_exact,
     commute_check_exact,
     dtilde_exact,
-    integrate_against_basis,
     telescope_check_exact,
     u_coefficients_exact,
 )
@@ -114,6 +114,24 @@ def test_to_poly_matches_binomial_sum(n):
     assert form.to_poly() == _to_poly_by_binomial_sum(form)
 
 
+@pytest.mark.parametrize("n", [17, 64, 129])
+def test_to_poly_of_a_basis_polynomial(n):
+    # e_n has row[0] == 0 at every level below n: only an all-zero row may stop the table
+    for k in sorted({0, 1, n // 2, n}):
+        e_k = [0] * (n + 1)
+        e_k[k] = 1
+        assert ExactBernsteinForm(n, e_k).to_poly() == bernstein_poly(n, k), k
+
+
+@pytest.mark.parametrize(
+    "name", ["zero", *(name for name, spec in CATALOG.items() if spec.poly is not None)]
+)
+def test_to_poly_of_a_low_degree_polynomial_at_high_degree(name):
+    # the catalog polynomials, and the zero polynomial as the zero form of degree 129
+    p = RationalPoly() if name == "zero" else CATALOG[name].poly
+    assert ExactBernsteinForm.from_poly(p, 129).to_poly() == p
+
+
 def test_from_poly_rejects_too_small_degree():
     with pytest.raises(ValueError):
         ExactBernsteinForm.from_poly(T3, 2)
@@ -131,10 +149,46 @@ def test_phi_degree_raising_identity():
 # -- integrals and u coefficients ----------------------------------------------
 
 
-def test_integrate_against_basis_examples():
-    assert integrate_against_basis(0, 0, ONE) == 1
-    assert integrate_against_basis(2, 1, ONE) == Fraction(1, 3)
-    assert integrate_against_basis(0, 0, T2) == Fraction(1, 3)
+def _integrate_against_basis(m: int, j: int, p: RationalPoly) -> Fraction:
+    """Integral over [0,1] of P_{m,j}(t) p(t), by the termwise Beta identity
+    integral of t^(j+q) (1-t)^(m-j) = (j+q)! (m-j)! / (m+q+1)! (test oracle)."""
+    return sum(
+        (
+            a * Fraction(
+                math.comb(m, j) * math.factorial(j + q) * math.factorial(m - j),
+                math.factorial(m + q + 1),
+            )
+            for q, a in enumerate(p.coeffs)
+        ),
+        Fraction(0),
+    )
+
+
+def _u_coefficients_by_beta_integrals(f: RationalPoly, n: int) -> list[Fraction]:
+    interior = [(n - 1) * _integrate_against_basis(n - 2, k - 1, f) for k in range(1, n)]
+    return [f(Fraction(0)), *interior, f(Fraction(1))]
+
+
+def test_u_coefficients_beta_integral_examples():
+    # the three integrals (n-1) * int P_{n-2,k-1} f: P_{0,0} * 1, 3 * P_{2,1} * 1, P_{0,0} * t^2
+    assert u_coefficients_exact(ONE, 2)[1] == 1
+    assert u_coefficients_exact(ONE, 4)[2] == 1
+    assert u_coefficients_exact(T2, 2)[1] == Fraction(1, 3)
+
+
+def _random_rational_poly(rng, degree: int) -> RationalPoly:
+    nums = rng.integers(-60, 61, size=degree + 1)
+    dens = rng.integers(1, 50, size=degree + 1)
+    return RationalPoly(Fraction(int(a), int(b)) for a, b in zip(nums, dens))
+
+
+def test_u_coefficients_match_the_beta_integral_oracle():
+    rng = np.random.default_rng(18)
+    ns = [1, 2, 3, *(int(n) for n in rng.integers(1, 131, size=31))]
+    for degree in range(-1, 8):
+        for n in ns:
+            f = _random_rational_poly(rng, degree)
+            assert u_coefficients_exact(f, n) == _u_coefficients_by_beta_integrals(f, n), (degree, n)
 
 
 def test_u_coefficients_examples():
@@ -274,8 +328,6 @@ def test_series_representation_partial_sums():
 
 
 def test_invalid_indexing():
-    with pytest.raises(ValueError):
-        integrate_against_basis(3, 4, ONE)
     with pytest.raises(ValueError):
         u_coefficients_exact(T2, 0)
     with pytest.raises(ValueError):
