@@ -418,6 +418,11 @@ class Sweep:
     one call, storing none that fails, and raises only for f; a function
     outside ``fs`` is a batch of one.  The sup norms are taken on the grid of
     ``grid_size`` points, the quadratures to ``tol``.
+
+    An operator error ||p - f|| is keyed by f and the bits of p's
+    coefficients, not by the operator that built p: U_m f and Utilde_m f of a
+    linear f, or Utilde_m^3 f and Utilde_m f of a constant, often hold the
+    same bits, and then share one sup norm.
     """
 
     def __init__(self, fs: Sequence[FunctionSpec], grid_size: int, tol: float) -> None:
@@ -448,9 +453,16 @@ class Sweep:
     def Utilde(self, f: FunctionSpec, m: int) -> BernsteinForm:
         return self._memoized(("Utilde", f, m), lambda: utilde_from_u(self.U(f, m)))
 
+    def _distance_key(self, p: BernsteinForm, f: FunctionSpec) -> tuple:
+        return ("distance", f, p.coeffs.tobytes())
+
+    def distance(self, p: BernsteinForm, f: FunctionSpec) -> float:
+        """||p - f||, taken once per f and distinct coefficient bits of p."""
+        return self._memoized(self._distance_key(p, f), lambda: distance(p, f, self.grid_size))
+
     def error(self, f: FunctionSpec, m: int) -> float:
         """||Utilde_m f - f||."""
-        return self._memoized(("error", f, m), lambda: distance(self.Utilde(f, m), f, self.grid_size))
+        return self.distance(self.Utilde(f, m), f)
 
     def dtilde_norm(self, f: FunctionSpec, ell: int) -> float:
         """||Dtilde^ell f|| via analytic derivatives; ||f|| at ell = 0."""
@@ -468,8 +480,7 @@ class Sweep:
 
     def iterate_distance(self, f: FunctionSpec, m: int) -> float:
         """||Utilde_m^3 f - f||."""
-        g = self.Utilde3(f, m)
-        return self._memoized(("iterate_distance", f, m), lambda: distance(g, f, self.grid_size))
+        return self.distance(self.Utilde3(f, m), f)
 
     def D2Utilde3(self, f: FunctionSpec, m: int) -> BernsteinForm:
         """Dtilde^2 Utilde_m^3 f, from the exact coefficient map."""
@@ -482,13 +493,17 @@ class Sweep:
 
     def iterate_lower_bounds(self, f: FunctionSpec, m: int) -> tuple[float, float]:
         """Lower bounds of (iterate_distance, iterate_d2_norm) that take no sup norm:
-        each norm once computed, else its _screened_lower_bound, computed once."""
+        each norm once computed, by any route, else its _screened_lower_bound,
+        computed once."""
         g, d2 = self.Utilde3(f, m), self.D2Utilde3(f, m)
-        forms = {"iterate_distance": Residual(g, f.eval), "iterate_d2_norm": Residual(d2)}
+        bounds = {
+            "iterate_distance": (self._distance_key(g, f), Residual(g, f.eval)),
+            "iterate_d2_norm": (("iterate_d2_norm", f, m), Residual(d2)),
+        }
         return tuple(
-            self._values[name, f, m] if (name, f, m) in self._values
+            self._values[key] if key in self._values
             else self._memoized(("lower", name, f, m), lambda: _screened_lower_bound(form, self.grid_size))
-            for name, form in forms.items()
+            for name, (key, form) in bounds.items()
         )
 
 
@@ -605,9 +620,14 @@ def _require(flag: bool, f: FunctionSpec, requirement: str) -> None:
 
 
 def check_contraction_U(f: FunctionSpec, n: int, sweep: Sweep) -> InequalityReport:
-    """||U_n f - f|| <= (1/n) ||Dtilde f||."""
+    """||U_n f - f|| <= (1/n) ||Dtilde f||.
+
+    The left side is the Sweep's distance of U_n f, so for a linear f, where
+    U_n f and Utilde_n f often hold the same bits, it is the sup norm that
+    linear_reproduction takes.
+    """
     _require(f.smoothness.w2, f, "f in W^2(phi)")
-    lhs = distance(sweep.U(f, n), f, sweep.grid_size)
+    lhs = sweep.distance(sweep.U(f, n), f)
     rhs = sweep.dtilde_norm(f, 1) / n
     return InequalityReport("contraction_U", f.name, n, lhs, rhs)
 
@@ -839,9 +859,11 @@ def rate_errors(f: FunctionSpec, n: int, sweep: Sweep) -> tuple[float, float, fl
     """(||U_n f - f||, ||Utilde_n f - f||, lambda(n)), one row of the rate table.
 
     lambda(n) is the coefficient of Dtilde^2 f in the Voronovskaya-type
-    expansion of Utilde_n f - f.
+    expansion of Utilde_n f - f.  Both errors are the Sweep's distances, so
+    where U_n f and Utilde_n f hold the same bits (a linear f) one sup norm
+    gives both.
     """
-    return distance(sweep.U(f, n), f, sweep.grid_size), sweep.error(f, n), tail_sums(n).lam
+    return sweep.distance(sweep.U(f, n), f), sweep.error(f, n), tail_sums(n).lam
 
 
 def loglog_slope(name: str, rows: Sequence[tuple[int, float]]) -> float:

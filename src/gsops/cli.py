@@ -394,6 +394,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         unknown = [s for s in fns if s not in CATALOG]
         if unknown:
             raise ValueError(f"unknown function ids: {', '.join(unknown)}")
+        repeated = [s for s in dict.fromkeys(fns) if fns.count(s) > 1]
+        if repeated:
+            raise ValueError(f"duplicate function ids: {', '.join(repeated)}")
         if not n_list:
             raise ValueError("empty n list")
         if min(n_list) < 2:

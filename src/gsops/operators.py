@@ -67,10 +67,25 @@ class BernsteinForm:
         (1 - t) b_k + t b_{k+1}, rounded as in the textbook recurrence.  Each
         of the four work arrays holds at most basis.EVAL_WORKSPACE floats, for
         any degree below it.
+
+        A constant form, every coefficient the same bits, holds one value v per
+        point at every level, each entry fl(fl((1 - t) v) + fl(t v)) of the
+        level above.  n steps of that update over the points alone give the
+        triangle's bits at O(n) per point instead of O(n^2).  Constancy is read
+        from the bits, so a form mixing 0.0 and -0.0 takes the triangle.
         """
         xs = np.asarray(x, dtype=float)
         pts = np.atleast_1d(xs).ravel()
         n = self.n
+        bits = self.coeffs.view(np.int64)
+        if np.all(bits == bits[0]):
+            out = np.full(pts.size, self.coeffs[0])
+            S, prod = 1.0 - pts, np.empty(pts.size)
+            for _ in range(n):
+                np.multiply(pts, out, out=prod)
+                np.multiply(S, out, out=out)
+                np.add(out, prod, out=out)
+            return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
         out = np.empty(pts.size)
         width = max(1, min(_eval_chunk(n), pts.size))
         b_buf = np.empty((n + 1) * width)

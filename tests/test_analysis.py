@@ -409,6 +409,22 @@ def test_sandwich_pruning_changes_no_bit(monkeypatch):
         assert pruned_calls < unpruned_calls
 
 
+def test_iterate_lower_bound_reads_a_distance_taken_by_another_route(monkeypatch):
+    # Utilde_2^3 one and Utilde_2 one hold the same bits, so once
+    # ||Utilde_2 one - one|| is taken it is the candidate's distance and its
+    # lower bound; only ||Dtilde^2 g|| is left to screen
+    f = get_function("one")
+    sweep = fresh_sweep(f)
+    assert sweep.Utilde3(f, 2).coeffs.tobytes() == sweep.Utilde(f, 2).coeffs.tobytes()
+    err = sweep.error(f, 2)
+    screened = []
+    monkeypatch.setattr(gsops.analysis, "_screened_lower_bound", lambda fn, grid_size: screened.append(fn) or -1.0)
+    monkeypatch.setattr(gsops.analysis, "sup_norm", None)  # no norm is taken again
+    assert sweep.iterate_lower_bounds(f, 2) == (err, -1.0)
+    assert [fn.p for fn in screened] == [sweep.D2Utilde3(f, 2)]
+    assert sweep.iterate_distance(f, 2) == err
+
+
 def test_sandwich_memo_keeps_specs_with_one_name_apart():
     # a Sweep is keyed by the function spec, so two specs that share a name
     # never read each other's operator outputs or norms

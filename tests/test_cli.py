@@ -76,6 +76,15 @@ def test_unknown_function_is_usage_error():
     assert main(["verify", "--fns", "nosuch", "--n", "2"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["table", "verify", "kfunc"])
+def test_repeated_function_id_is_usage_error(command, capsys):
+    # a repeated id printed each of its rows twice, two slope rows in table
+    assert main([command, "--fns", "one,t,one", "--n", "2,4,8,16"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "gsops: configuration error: duplicate function ids: one\n"
+
+
 def test_empty_function_list_is_usage_error():
     assert main(["table", "--fns", "", "--n", "4,8,16,32"]) == EXIT_USAGE
 
@@ -766,6 +775,28 @@ def test_sandwich_sweep_takes_each_norm_once(tmp_path, monkeypatch, command, mos
     if quadratures is not None:
         assert len(quadrature_calls) <= quadratures
     assert ("abs52" in evaluated) == (command != "voronovskaya")
+
+
+@pytest.mark.parametrize(("command", "most"), [("table", 12), ("verify", 19)])
+def test_linear_functions_take_one_distance_per_n(tmp_path, monkeypatch, command, most):
+    # U_n f and Utilde_n f of one and t hold the same bits at n = 2, 4, ..., 32,
+    # so table's err_U and err_Utilde share one sup norm per (f, n), and so do
+    # verify's contraction_U and linear_reproduction: 10 in all.  table adds
+    # ||Dtilde^2 f|| per f, verify ||Dtilde f|| and ||Dtilde^2 f|| per f and the
+    # Lebesgue bound per n.  Each distance taken apart made 22 and 29
+    import gsops.analysis
+
+    calls = []
+    plain = gsops.analysis.sup_norm
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(gsops.analysis, "sup_norm", counting)
+    argv = [command, "--fns", "one,t", "--n", "2:2:5", "--seed", "1"]
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == EXIT_OK
+    assert 0 < len(calls) <= most
 
 
 # -- fuzz: every command over bounded inputs ----------------------------------------------

@@ -189,6 +189,78 @@ def test_eval_nan_coefficient_propagates(n):
     assert np.array_equal(out, allocating_de_casteljau(coeffs, xs), equal_nan=True)
 
 
+def same_bits(a, b) -> bool:
+    """Equal int64 views, with any NaN against any NaN."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    if a.shape != b.shape:
+        return False
+    nan = np.isnan(a)
+    return bool(np.array_equal(nan, np.isnan(b)) and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+_CONSTANTS = [1.0, 0.0, -0.0, 3.7, 5e-324, 1e308, math.inf, math.nan]
+_CONSTANT_DEGREES = [0, 1, 2, 255, 1024]
+
+
+def sampled_grid(n):
+    """The default Chebyshev grid with both endpoints, thinned at high degree.
+
+    The allocating oracle does O(n^2) work per point, a billion entries for
+    the whole grid at n = 1024; evaluation is pointwise, so every 8th
+    (n >= 128) or 32nd (n >= 512) point, the last one kept, checks each point
+    it holds.
+    """
+    grid = _chebyshev_grid(DEFAULT_GRID)
+    step = 32 if n >= 512 else 8 if n >= 128 else 1
+    return np.concatenate((grid[:-1:step], grid[-1:]))
+
+
+@pytest.mark.parametrize("n", _CONSTANT_DEGREES)
+@pytest.mark.parametrize("c", _CONSTANTS, ids=repr)
+def test_eval_of_a_constant_form_matches_allocating_de_casteljau(c, n):
+    # one value per point at every level: the short cut must give the
+    # triangle's bits, signed zeros, subnormals, overflow, inf * 0 and NaN
+    # included (inf * 0 warns in both)
+    form = BernsteinForm(n, np.full(n + 1, c))
+    grid = sampled_grid(n)
+    assert grid[0] == 0.0 and grid[-1] == 1.0
+    with np.errstate(invalid="ignore"):
+        out = form.eval(grid)
+        assert out.shape == grid.shape
+        assert same_bits(out, allocating_de_casteljau(form.coeffs, grid))
+        assert form.eval(np.array([])).shape == (0,)
+        for x in (0.0, 0.3, 1.0):
+            value = form.eval(x)
+            assert type(value) is float
+            assert same_bits(value, allocating_de_casteljau(form.coeffs, x))
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 1024])
+def test_eval_of_mixed_signed_zeros_takes_the_triangle(n):
+    # -0.0 == 0.0, but the form is not constant: the triangle turns every
+    # point to +0.0, where -0.0 carried through n levels would stay -0.0
+    coeffs = np.full(n + 1, -0.0)
+    coeffs[n] = 0.0
+    grid = sampled_grid(n)
+    out = BernsteinForm(n, coeffs).eval(grid)
+    assert same_bits(out, allocating_de_casteljau(coeffs, grid))
+    assert not np.any(np.signbit(out))
+
+
+def test_eval_of_a_constant_form_builds_no_triangle():
+    # a triangle chunk at degree 1024 is four arrays of 31 points times about
+    # 1024 levels (1 MB); a constant form needs three arrays of the points alone
+    grid = _chebyshev_grid(DEFAULT_GRID)
+    form = BernsteinForm(1024, np.ones(1025))
+    tracemalloc.start()
+    try:
+        form.eval(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * grid.nbytes + 2**14
+
+
 @pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 255, 1000, EVAL_WORKSPACE - 1])
 def test_eval_workspace_is_bounded(n):
     w = _eval_chunk(n)
