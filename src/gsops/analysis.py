@@ -411,13 +411,12 @@ def distance(p: BernsteinForm, f: FunctionSpec, grid_size: int = DEFAULT_GRID) -
 class Sweep:
     """The operator outputs and norms of one run, each computed once.
 
-    Every check takes them from here; U_m f is formed here alone.  Values are
+    Every check takes them from here; U_m f is formed here alone, once per
+    (f, m): a polynomial takes its exact coefficients, any other function the
+    coefficients of its closed-form route, certified to ``tol``.  Values are
     keyed by the function spec, so two specs that share a name never share a
-    value.  A polynomial takes its exact coefficients; a miss of U_m f for a
-    quadrature function of ``fs`` computes U_m of every one that lacks it in
-    one call, storing none that fails, and raises only for f; a function
-    outside ``fs`` is a batch of one.  The sup norms are taken on the grid of
-    ``grid_size`` points, the quadratures to ``tol``.
+    value, and a computation that raises stores nothing.  The sup norms are
+    taken on the grid of ``grid_size`` points.
 
     An operator error ||p - f|| is keyed by f and the bits of p's
     coefficients, not by the operator that built p: U_m f and Utilde_m f of a
@@ -425,10 +424,9 @@ class Sweep:
     same bits, and then share one sup norm.
     """
 
-    def __init__(self, fs: Sequence[FunctionSpec], grid_size: int, tol: float) -> None:
+    def __init__(self, grid_size: int, tol: float) -> None:
         self.grid_size = grid_size
         self.tol = tol
-        self._fs = tuple(dict.fromkeys(fs))
         self._values: dict[tuple, object] = {}
 
     def _memoized(self, key: tuple, compute: Callable):
@@ -437,18 +435,11 @@ class Sweep:
         return self._values[key]
 
     def U(self, f: FunctionSpec, m: int) -> BernsteinForm:
-        if ("U", f, m) not in self._values and f.poly is None:
-            batch = self._fs if f in self._fs else (f,)
-            lacking = [g for g in batch if g.poly is None and ("U", g, m) not in self._values]
-            coeffs = dict(zip(lacking, u_coefficients_numeric(lacking, m, self.tol)))
-            for g, u in coeffs.items():
-                if not isinstance(u, Exception):
-                    self._values["U", g, m] = BernsteinForm(m, u)
-            if isinstance(coeffs[f], Exception):
-                raise coeffs[f]
-        return self._memoized(
-            ("U", f, m), lambda: BernsteinForm(m, [float(c) for c in u_coefficients_exact(f.poly, m)])
-        )
+        if f.poly is None:
+            coeffs = lambda: u_coefficients_numeric(f, m, self.tol)
+        else:
+            coeffs = lambda: [float(c) for c in u_coefficients_exact(f.poly, m)]
+        return self._memoized(("U", f, m), lambda: BernsteinForm(m, coeffs()))
 
     def Utilde(self, f: FunctionSpec, m: int) -> BernsteinForm:
         return self._memoized(("Utilde", f, m), lambda: utilde_from_u(self.U(f, m)))
@@ -472,8 +463,7 @@ class Sweep:
 
     def Utilde3(self, f: FunctionSpec, m: int) -> BernsteinForm:
         """The K-functional candidate Utilde_m^3 f: the stored Utilde_m f, then
-        twice the exact coefficient-integral matrix in float, compounding no
-        quadrature error."""
+        twice the exact coefficient-integral matrix in float."""
         return self._memoized(
             ("Utilde3", f, m), lambda: apply_Utilde_to_form(apply_Utilde_to_form(self.Utilde(f, m), m), m)
         )
@@ -792,7 +782,7 @@ def kfunctional_sandwich(f: FunctionSpec, n: int, sweep: Sweep) -> KfSandwich:
     t = 1.0 / n**2
 
     ms = (n, 2 * n, 4 * n, 8 * n)
-    for m in ms:  # a failing quadrature raises before f's own cost is taken, as without pruning
+    for m in ms:  # a route that misses tol raises before f's own cost is taken, as without pruning
         sweep.Utilde3(f, m)
     own_cost = t * sweep.dtilde_norm(f, 2) if f.smoothness.w20 and f.smoothness.dtilde_w2 else math.inf
     best_cost = math.inf

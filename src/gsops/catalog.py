@@ -3,7 +3,8 @@
 Each entry knows its derivatives up to order 6 (enough for three
 applications of Dtilde), whether it is a polynomial (and if so its exact
 monomial coefficients, so the operator coefficients can be taken from the
-exact engine), and which weighted-smoothness classes it belongs to.  The
+exact engine; any other entry carries a closed-form route to them, see
+gsops.quadrature), and which weighted-smoothness classes it belongs to.  The
 class flags decide which inequality checks legitimately apply.
 """
 
@@ -16,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .exactpoly import RationalPoly
+from .quadrature import Route, entire_route, kink_power_route
 
 __all__ = [
     "SmoothnessClass",
@@ -53,6 +55,13 @@ _KINK_52 = SmoothnessClass(w2=True, w20=True, dtilde_w2=False, dtilde_w20=False,
 
 MAX_DERIVATIVE_ORDER = 6
 
+#: Taylor terms of the entire functions' routes: the tails beyond t^40 are
+#: 3.1e-50 (exp) and 7.8e-30 (sinpi).
+TAYLOR_TERMS = 40
+#: pi = _PI_DIGITS / 10^62 to 62 decimals, for the Taylor coefficients of
+#: sinpi; int / int rounds each pi^q / q! correctly.
+_PI_DIGITS = 314159265358979323846264338327950288419716939937510582097494459
+
 
 @dataclass(frozen=True)
 class FunctionSpec:
@@ -60,13 +69,16 @@ class FunctionSpec:
 
     Polynomial entries carry their exact monomial form in ``poly``, from
     which ``polynomial_degree`` is read; both are None for transcendental
-    entries.
+    entries.  ``route`` gives the operator coefficients of a transcendental
+    entry with an error bound (gsops.quadrature); a polynomial takes them
+    from the exact engine instead.
     """
 
     name: str
     derivative_fn: Callable[[int, np.ndarray], np.ndarray]
     poly: RationalPoly | None
     smoothness: SmoothnessClass
+    route: Route | None = None
 
     @property
     def polynomial_degree(self) -> int | None:
@@ -105,12 +117,18 @@ def polynomial_function(name: str, coeffs) -> FunctionSpec:
     )
 
 
+def _series_tail(c: float) -> float:
+    """A bound of sum_{q>Q} c^q / q! for Q = TAYLOR_TERMS: its first term over 1 - c/(Q+2)."""
+    return c ** (TAYLOR_TERMS + 1) / math.factorial(TAYLOR_TERMS + 1) / (1 - c / (TAYLOR_TERMS + 2))
+
+
 def _exp_entry() -> FunctionSpec:
     return FunctionSpec(
         name="exp",
         derivative_fn=lambda order, xs: np.exp(xs),
         poly=None,
         smoothness=_ALL_SMOOTH,
+        route=entire_route([1 / math.factorial(q) for q in range(TAYLOR_TERMS + 1)], _series_tail(1.0)),
     )
 
 
@@ -123,6 +141,13 @@ def _sinpi_entry() -> FunctionSpec:
         derivative_fn=deriv,
         poly=None,
         smoothness=_ALL_SMOOTH,
+        route=entire_route(
+            [
+                (-1) ** (q // 2) * (_PI_DIGITS**q / (10 ** (62 * q) * math.factorial(q))) if q % 2 else 0.0
+                for q in range(TAYLOR_TERMS + 1)
+            ],
+            _series_tail(math.pi),
+        ),
     )
 
 
@@ -148,6 +173,7 @@ def _abs52_entry() -> FunctionSpec:
         derivative_fn=deriv,
         poly=None,
         smoothness=_KINK_52,
+        route=kink_power_route(2.5),
     )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 # (no bytecode cache), this order lowers peak RSS by up to 0.9 MB (2% of `table`).
 from . import __version__
 from .catalog import CATALOG, FunctionSpec, catalog_names, get_function
-from .errors import IntegrationError, InvariantViolation, PreconditionError, ToleranceError
+from .errors import InvariantViolation, PreconditionError, ToleranceError
 from .exactpoly import apply_Utilde_exact, commute_check_exact, telescope_check_exact
 from .operators import BernsteinForm
 from .analysis import (
@@ -171,7 +171,7 @@ def cmd_verify(cfg: RunConfig) -> list[dict]:
     rows: list[dict] = []
     rng = np.random.default_rng(cfg.seed)
     fs = [get_function(name) for name in cfg.fns]
-    sweep = Sweep(fs, cfg.grid_size, cfg.tol)
+    sweep = Sweep(cfg.grid_size, cfg.tol)
     for n in cfg.n_list:
         for f in fs:
             if f.poly is not None:
@@ -194,7 +194,7 @@ _TABLE_COLUMNS = ["f", "n", "err_U", "err_Utilde", "lambda_n", "bound_jackson", 
 def cmd_table(cfg: RunConfig) -> list[dict]:
     rows: list[dict] = []
     fs = [get_function(name) for name in cfg.fns]
-    sweep = Sweep(fs, cfg.grid_size, cfg.tol)
+    sweep = Sweep(cfg.grid_size, cfg.tol)
     for f in fs:
         jackson_ok = f.smoothness.w20 and f.smoothness.dtilde_w2
         d2norm = sweep.dtilde_norm(f, 2) if jackson_ok else None
@@ -238,7 +238,7 @@ def cmd_table(cfg: RunConfig) -> list[dict]:
 def cmd_norms(cfg: RunConfig) -> list[dict]:
     rows: list[dict] = []
     fs = [get_function(name) for name in cfg.fns]
-    sweep = Sweep(fs, cfg.grid_size, cfg.tol)
+    sweep = Sweep(cfg.grid_size, cfg.tol)
     for n in cfg.n_list:
         rows.append(_report_row(check_lebesgue(n, cfg.grid_size)))
         for f in fs:
@@ -251,17 +251,15 @@ def cmd_norms(cfg: RunConfig) -> list[dict]:
     return rows
 
 
-def _guarded_sweep(cfg: RunConfig, name: str, check, ell_mult=None, swept=None) -> list[dict]:
+def _guarded_sweep(cfg: RunConfig, name: str, check, ell_mult=None) -> list[dict]:
     """Guarded rows of ``check(f, n, ell, sweep)``, f outer and n inner.
 
     ell = ell_mult * n, or None.  ``sweep`` is the run's one Sweep, shared by
-    every f and n, as in every command; it batches the operator outputs of
-    the functions that ``swept`` accepts (all by default).
+    every f and n, as in every command.
     """
     rows: list[dict] = []
-    fs = [get_function(fname) for fname in cfg.fns]
-    sweep = Sweep([f for f in fs if swept is None or swept(f)], cfg.grid_size, cfg.tol)
-    for f in fs:
+    sweep = Sweep(cfg.grid_size, cfg.tol)
+    for f in (get_function(fname) for fname in cfg.fns):
         for n in cfg.n_list:
             ell = None if ell_mult is None else ell_mult * n
             _guarded(rows, name, f.name, n, lambda: check(f, n, ell, sweep), ell=ell)
@@ -273,11 +271,7 @@ def cmd_kfunc(cfg: RunConfig) -> list[dict]:
 
 
 def cmd_voronovskaya(cfg: RunConfig) -> list[dict]:
-    # the rows of any other function are precondition skips, which need no operator output
-    return _guarded_sweep(
-        cfg, "voronovskaya", lambda f, n, _, sweep: check_voronovskaya(f, n, sweep),
-        swept=lambda f: f.smoothness.w20 and f.smoothness.dtilde_w20 and f.smoothness.d3_bounded,
-    )
+    return _guarded_sweep(cfg, "voronovskaya", lambda f, n, _, sweep: check_voronovskaya(f, n, sweep))
 
 
 def cmd_converse(cfg: RunConfig) -> list[dict]:
@@ -371,7 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ell-mult", type=int, default=16,
                        help="second scale multiplier: ell = mult * n (converse)")
         p.add_argument("--grid", type=int, default=DEFAULT_GRID, help="sup-norm grid size")
-        p.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
+        p.add_argument("--tol", type=float, default=1e-10,
+                       help="error bound to which each operator coefficient of a "
+                       "non-polynomial function must be certified")
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
         p.add_argument("--seed", type=int, default=20240801, help="seed for randomized probes")
@@ -442,7 +438,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"gsops: configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ToleranceError, IntegrationError, MemoryError) as exc:
+    except (ToleranceError, MemoryError) as exc:
         print(f"gsops: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     text = render(cfg, rows, columns)

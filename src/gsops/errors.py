@@ -8,20 +8,16 @@ class InvariantViolation(RuntimeError):
 
 
 class ToleranceError(RuntimeError):
-    """An adaptive computation failed to reach its target tolerance.
+    """A computation could not be certified to its target tolerance.
 
-    Carries the best estimate obtained so far in ``best`` and the last
-    observed discrepancy in ``achieved``.
+    Carries the values computed in ``best`` and the error bound they were
+    certified to in ``achieved``.
     """
 
     def __init__(self, message: str, best=None, achieved: float | None = None):
         super().__init__(message)
         self.best = best
         self.achieved = achieved
-
-
-class IntegrationError(RuntimeError):
-    """The integrand produced a non-finite value at a quadrature node."""
 
 
 class PreconditionError(ValueError):

@@ -173,7 +173,9 @@ def u_coefficient_matrix(n: int, operand_degree: int) -> np.ndarray:
             = (n-1) C(n-2,k-1) C(N,j) / (C(n-2+N, k-1+j) * (n-1+N)),
 
     each one integer quotient, which int/int true division rounds once,
-    correctly, to float.  The endpoint rows pick off p(0) and p(1).
+    correctly, to float.  The endpoint rows pick off p(0) and p(1).  Entry
+    (n-k, N-j) is the same quotient as entry (k, j), so the rows past n/2
+    are copies of the first, reversed.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -182,10 +184,12 @@ def u_coefficient_matrix(n: int, operand_degree: int) -> np.ndarray:
     A[0, 0] = 1.0
     A[n, N] = 1.0
     col = [math.comb(N, j) for j in range(N + 1)]
-    den = [(n - 1 + N) * math.comb(n - 2 + N, i) for i in range(n - 1 + N)]
-    for k in range(1, n):
+    den = [(n - 1 + N) * math.comb(n - 2 + N, i) for i in range(n // 2 + N)]
+    for k in range(1, n // 2 + 1):
         top = (n - 1) * math.comb(n - 2, k - 1)
         A[k] = [top * c / d for c, d in zip(col, den[k - 1:])]
+    mirrored = np.arange(n // 2 + 1, n)
+    A[mirrored] = A[n - mirrored, ::-1]
     A.setflags(write=False)
     return A
 

@@ -1,145 +1,128 @@
-"""The numeric coefficient integrals, by composite 24-point Gauss-Legendre rules.
+"""The operator coefficients u_{n,k}(f) of catalog functions, in closed form.
 
-The rule on [0,1] is built on first use, by Newton iteration for the
-Legendre roots from Chebyshev initial guesses, and integrates polynomials up
-to degree 47 exactly.  The adaptive computation of the operator coefficients
-u_{n,k}(f) applies it on 1, 2, 4, ... panels.
+u_{n,0} = f(0), u_{n,n} = f(1), and each interior coefficient is the integral
+(n-1) int_0^1 P_{n-2,k-1}(t) f(t) dt.  A function carries its route to them
+(FunctionSpec.route): a callable that takes n >= 2 and returns the interior
+coefficients together with a bound on the error of every one of them.  Two
+routes cover the catalog, and neither evaluates f:
 
-The rule is read-only and shareable across threads; a function's evaluation
-must be safe for concurrent invocation (it receives a whole ndarray of
-points).
+* ``entire_route``: a power series sum_q a_q t^q, truncated after Q terms.
+  Termwise u_{n,k}(t^q) = (k)_q / (n)_q (rising factorials), a ratio in
+  [0, 1], so the truncation error is at most sum_{q>Q} |a_q|.
+* ``kink_power_route``: |t - 1/2|^gamma.  The integral splits at 1/2, and the
+  left half is the mirror of the right.  On t = (1+s)/2 the right half of
+  P_{N,j} has the nonnegative Bernstein coefficients C(N-i, j-i) 2^-(N-i)
+  (de Casteljau subdivision), and int B_{N,i}(s) s^gamma ds = M_i with
+  M_i / M_{i-1} = (i + gamma) / i.  The sums over i are taken by the
+  transpose of the subdivision, halvings and additions of positive numbers.
+
+The bounds count every rounding of float64 arithmetic (unit roundoff u =
+2^-53), so a coefficient is certified to its bound, not estimated.
+``u_coefficients_numeric`` checks that bound against the run's tolerance.
+
+Routes are pure functions of n: they hold read-only data and may run in any
+number of threads.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import bernstein_matrix
-from .catalog import FunctionSpec
-from .errors import IntegrationError, ToleranceError
+from .errors import ToleranceError
 
-__all__ = ["u_coefficients_numeric"]
+__all__ = ["entire_route", "kink_power_route", "u_coefficients_numeric"]
 
-MAX_PANELS = 1024  # 2**10
-NEWTON_TOL = 1e-15
-NEWTON_MAX_ITER = 100
+#: Interior coefficients of U_n f and a bound on the error of each, for n >= 2.
+Route = Callable[[int], tuple[np.ndarray, float]]
 
-
-def _legendre_and_derivative(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_m(x) and P'_m(x) on [-1,1] by the three-term recurrence."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for j in range(2, m + 1):
-        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-    dp = m * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
+UNIT_ROUNDOFF = 2.0**-53
 
 
-def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only nodes and weights of the m-point Gauss-Legendre rule on [0,1].
+def _gamma_bound(m: int) -> float:
+    """gamma_m = m u / (1 - m u), the relative error of m roundings."""
+    return m * UNIT_ROUNDOFF / (1.0 - m * UNIT_ROUNDOFF)
 
-    Roots are found by Newton iteration started from the Chebyshev-type
-    guesses cos(pi (i + 3/4) / (m + 1/2)) and polished until the update falls
-    below 1e-15; weights come from the standard derivative formula.  Nodes
-    increase and weights sum to 1.
+
+def entire_route(taylor: Sequence[float], tail: float) -> Route:
+    """The route of f(t) = sum_q a_q t^q + r(t), where |r| <= tail on [0, 1].
+
+    ``taylor`` holds each a_q rounded to the nearest float.  u_{n,k} =
+    sum_{q<=Q} a_q (k)_q / (n)_q by Horner's rule over the ratios
+    (k+q)/(n+q), vectorized over k: the term of a_q meets at most 3q + 2
+    roundings, its own among them, so the computed value is off by at most
+    gamma_{3Q+4} sum_q |a_q| (two spare roundings for the float sum), plus
+    ``tail`` for the truncation.
     """
-    i = np.arange(m)
-    x = np.cos(np.pi * (i + 0.75) / (m + 0.5))
-    for _ in range(NEWTON_MAX_ITER):
-        p, dp = _legendre_and_derivative(m, x)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) < NEWTON_TOL:
-            break
-    else:
-        raise RuntimeError(f"Legendre root search did not converge for m={m}")
-    _, dp = _legendre_and_derivative(m, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    a = list(taylor) or [0.0]
+    bound = _gamma_bound(3 * len(a) + 1) * math.fsum(abs(c) for c in a) + tail
 
-    nodes = ((1.0 + x) / 2.0)[::-1].copy()
-    weights = (w / 2.0)[::-1].copy()
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    def route(n: int) -> tuple[np.ndarray, float]:
+        k = np.arange(1, n, dtype=float)
+        total = np.full(n - 1, a[-1])
+        for q in range(len(a) - 2, -1, -1):
+            total = a[q] + (k + q) / (n + q) * total
+        return total, bound
+
+    return route
 
 
-@cache
-def _rule() -> tuple[np.ndarray, np.ndarray]:
-    """The 24-point rule of every panel, built once."""
-    return _gauss_legendre(24)
+def kink_power_route(gamma: float) -> Route:
+    """The route of f(t) = |t - 1/2|^gamma, gamma > -1.
+
+    With N = n - 2 and j = k - 1, u_{n,k} = (n-1) 2^{-gamma-1} (R_j + R_{N-j}),
+    R_j = sum_{i<=j} C(N-i, j-i) 2^-(N-i) M_i.  Every term is positive, so the
+    relative errors add: at most 3N + 2 roundings in M_0 = B(gamma+1, N+1),
+    3 per step of the ratios, N in the additions of the subdivision and 6 in
+    the scaling, gamma_{7N+10} relative in all.  Halvings are exact until
+    they reach subnormal numbers, which costs at most 2^-1074 per operation.
+    """
+    if not gamma > -1.0:
+        raise ValueError("the kink power needs gamma > -1")
+
+    def route(n: int) -> tuple[np.ndarray, float]:
+        N = n - 2
+        i = np.arange(1, N + 1, dtype=float)
+        M = np.empty(N + 1)
+        M[0] = math.prod(m / (m + gamma) for m in range(1, N + 1)) / (N + gamma + 1)
+        M[1:] = (i + gamma) / i
+        M = np.cumprod(M)
+        R = np.empty(N + 1)  # the transpose of the subdivision, one level per step
+        R[0] = M[0]
+        for width in range(1, N + 1):
+            half = R[:width] * 0.5
+            R[:width] = half
+            R[1:width] += half[:-1]
+            R[width] = half[-1] + M[width]
+        u = (n - 1) * 2.0 ** (-gamma - 1.0) * (R + R[::-1])
+        scale = (n - 1) * 2.0 ** (-gamma)
+        return u, _gamma_bound(7 * N + 10) * float(u.max()) + scale * (N + 1) ** 2 * math.ulp(0.0)
+
+    return route
 
 
-def _panel_points(panels: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = _rule()
-    offsets = np.arange(panels, dtype=float)[:, None]
-    pts = ((offsets + nodes[None, :]) / panels).ravel()
-    wts = np.tile(weights / panels, panels)
-    return pts, wts
+def u_coefficients_numeric(f, n: int, target_tol: float) -> np.ndarray:
+    """The coefficients u_{n,k}(f), k = 0..n, by f's route, endpoints from f.eval.
 
-
-def _refinement(f: FunctionSpec, n: int, target_tol: float):
-    """u_{n,k}(f) as a generator, sent (points, weights, basis) of 1, 2, 4, ... panels in turn."""
-    u0 = float(f.eval(0.0))
-    un = float(f.eval(1.0))
-    if n == 1:
-        return np.array([u0, un])
-    prev: np.ndarray | None = None
-    achieved = math.inf
-    for _ in range(MAX_PANELS.bit_length()):
-        pts, wts, basis = yield
-        vals = np.asarray(f.eval(pts), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise IntegrationError(f"function {f.name!r} non-finite at a quadrature node")
-        interior = (n - 1) * (basis.T @ (wts * vals))
-        del basis  # so that no frame holds it while the next one is built
-        if prev is not None:
-            achieved = float(np.max(np.abs(interior - prev)))
-            if achieved < target_tol:
-                return np.concatenate(([u0], interior, [un]))
-        prev = interior
-    raise ToleranceError(
-        f"u_{{{n},k}}({f.name}) did not reach tol={target_tol:g} within {MAX_PANELS} panels "
-        f"(last change {achieved:.3e})",
-        best=np.concatenate(([u0], prev, [un])),
-        achieved=achieved,
-    )
-
-
-def u_coefficients_numeric(fs: Sequence[FunctionSpec], n: int, target_tol: float) -> list:
-    """The coefficients u_{n,k}(f) of each f in fs by quadrature, endpoints taken exactly.
-
-    The 24-point rule with panel doubling until two successive sweeps of
-    all interior coefficients agree to ``target_tol`` in max norm.
-    (analysis.Sweep takes polynomials by the exact path.)  Returns a list with
-    each function's coefficients or its error: a ToleranceError (carrying the
-    best estimate) if 2**10 panels are not enough.  The functions share each
-    panel count's basis, and each closes where it would alone, bit for bit as
-    in a call of its own.
+    Raises ToleranceError, carrying the coefficients in ``best`` and the
+    route's bound in ``achieved``, when that bound exceeds ``target_tol`` or
+    a coefficient is not finite (then the bound is inf).
+    (analysis.Sweep takes polynomials by the exact path.)
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    pending = {i: _refinement(f, n, target_tol) for i, f in enumerate(fs)}
-    results: list = [None] * len(pending)
-
-    def advance(sweep) -> None:
-        for i, gen in list(pending.items()):
-            try:
-                gen.send(sweep)
-                continue
-            except StopIteration as stop:
-                results[i] = stop.value
-            except Exception as exc:
-                results[i] = exc
-            del pending[i]
-
-    advance(None)
-    panels = 1
-    while pending:
-        pts, wts = _panel_points(panels)
-        advance((pts, wts, bernstein_matrix(n - 2, pts)))
-        panels *= 2
-    return results
+    if f.route is None:
+        raise ValueError(f"function {f.name!r} has no coefficient route")
+    interior, bound = f.route(n) if n > 1 else (np.empty(0), 0.0)
+    u = np.concatenate(([float(f.eval(0.0))], interior, [float(f.eval(1.0))]))
+    if not np.all(np.isfinite(u)):
+        bound = math.inf
+    if not bound <= target_tol:
+        raise ToleranceError(
+            f"u_{{{n},k}}({f.name}) is certified to {bound:.3e}, not to tol={target_tol:g}",
+            best=u,
+            achieved=bound,
+        )
+    return u

@@ -4,5 +4,5 @@ from gsops.analysis import DEFAULT_GRID, Sweep
 
 
 def sweep_U(f, n, tol=1e-10):
-    """U_n f from a Sweep of f alone, at quadrature tolerance ``tol``."""
-    return Sweep([f], DEFAULT_GRID, tol).U(f, n)
+    """U_n f from a new Sweep, its coefficients certified to ``tol``."""
+    return Sweep(DEFAULT_GRID, tol).U(f, n)

@@ -53,7 +53,7 @@ T3 = RationalPoly([0, 0, 0, 1])
 
 def fresh_sweep(*fs) -> Sweep:
     """A Sweep of fs alone, on the CLI's default grid and tolerance."""
-    return Sweep(fs, DEFAULT_GRID, 1e-10)
+    return Sweep(DEFAULT_GRID, 1e-10)
 
 
 def bernstein_form_from_poly(q: RationalPoly, n: int) -> BernsteinForm:
@@ -144,7 +144,7 @@ def test_lebesgue_bound_domain():
 @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
 def test_contraction_U(name, n):
     f = get_function(name)
-    rep = check_contraction_U(f, n, fresh_sweep(f))
+    rep = check_contraction_U(f, n, fresh_sweep())
     assert rep.passed
 
 
@@ -153,7 +153,7 @@ def test_contraction_U(name, n):
 
 def test_jackson_t2_n4_closed_values():
     f = get_function("t2")
-    rep = check_jackson(f, 4, fresh_sweep(f))
+    rep = check_jackson(f, 4, fresh_sweep())
     assert rep.lhs == pytest.approx(0.025, abs=1e-12)  # 1/(2*4*5)
     assert rep.rhs == pytest.approx(0.0625, abs=1e-12)  # (1/16) * ||-4 phi||
     assert rep.passed
@@ -161,14 +161,14 @@ def test_jackson_t2_n4_closed_values():
 
 def test_jackson_linear_trivial():
     f = get_function("t")
-    rep = check_jackson(f, 8, fresh_sweep(f))
+    rep = check_jackson(f, 8, fresh_sweep())
     assert rep.lhs <= 1e-13 and rep.passed
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
 def test_jackson_t3_sweep(n):
     f = get_function("t3")
-    assert check_jackson(f, n, fresh_sweep(f)).passed
+    assert check_jackson(f, n, fresh_sweep()).passed
 
 
 def test_jackson_rejects_rough_function():
@@ -182,7 +182,7 @@ def test_jackson_rejects_rough_function():
 def test_voronovskaya_t2_n2_oracle_values():
     ts = tail_sums(2)
     f = get_function("t2")
-    rep = check_voronovskaya(f, 2, fresh_sweep(f))
+    rep = check_voronovskaya(f, 2, fresh_sweep())
     assert rep.lhs == pytest.approx(abs(1.0 / 3.0 - 4.0 * ts.lam) / 4.0, abs=1e-9)
     assert rep.rhs == pytest.approx(2.0 * ts.theta, abs=1e-9)
     assert rep.passed
@@ -190,7 +190,7 @@ def test_voronovskaya_t2_n2_oracle_values():
 
 def test_voronovskaya_linear_trivial():
     f = get_function("t")
-    rep = check_voronovskaya(f, 4, fresh_sweep(f))
+    rep = check_voronovskaya(f, 4, fresh_sweep())
     assert rep.lhs <= 1e-13 and rep.passed
 
 
@@ -198,7 +198,7 @@ def test_voronovskaya_linear_trivial():
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
 def test_voronovskaya_sweep(name, n):
     f = get_function(name)
-    assert check_voronovskaya(f, n, fresh_sweep(f)).passed
+    assert check_voronovskaya(f, n, fresh_sweep()).passed
 
 
 def test_voronovskaya_rejects_rough_function():
@@ -224,13 +224,13 @@ def test_voronovskaya_sharpened_residual_t2(n):
 
 def test_bernstein_constant_function():
     f = get_function("one")
-    rep = check_bernstein_inequality(f, 4, fresh_sweep(f))
+    rep = check_bernstein_inequality(f, 4, fresh_sweep())
     assert rep.lhs <= 1e-14 and rep.passed
 
 
 def test_bernstein_t2_n4_margin():
     f = get_function("t2")
-    rep = check_bernstein_inequality(f, 4, fresh_sweep(f))
+    rep = check_bernstein_inequality(f, 4, fresh_sweep())
     # Dtilde(x^2 + phi/10) = 1.8 phi, sup 0.45
     assert rep.lhs == pytest.approx(0.45, abs=1e-12)
     assert rep.rhs - rep.lhs > 30.0  # ||f|| = 1
@@ -240,7 +240,7 @@ def test_bernstein_t2_n4_margin():
 @pytest.mark.parametrize("n", [2, 7, 33])
 def test_bernstein_catalog_sweep(name, n):
     f = get_function(name)
-    assert check_bernstein_inequality(f, n, fresh_sweep(f)).passed
+    assert check_bernstein_inequality(f, n, fresh_sweep()).passed
 
 
 @pytest.mark.parametrize("n", [2, 5, 16, 64])
@@ -312,7 +312,7 @@ def test_c_bound_value_n9():
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
 def test_sandwich_t2_upper_at_most_smooth_candidate(n):
     f = get_function("t2")
-    sw = kfunctional_sandwich(f, n, fresh_sweep(f))
+    sw = kfunctional_sandwich(f, n, fresh_sweep())
     # candidate g = f gives ||Dtilde^2 t^2|| / n^2 = 1/n^2
     assert sw.upper <= 1.0 / n**2 * (1 + 1e-9) + 1e-12
     assert sw.t == pytest.approx(1.0 / n**2, abs=0.0)
@@ -325,13 +325,13 @@ def test_sandwich_t2_n2_exact_tie_at_one_quarter():
     f = get_function("t2")
     t = 0.25
     costs = {}
-    sweep = fresh_sweep(f)
+    sweep = fresh_sweep()
     for m in (2, 4):
         costs[f"utilde3_m{m}"] = sweep.iterate_distance(f, m) + t * sweep.iterate_d2_norm(f, m)
     costs["f_itself"] = t * sweep.dtilde_norm(f, 2)
     for cost in costs.values():
         assert abs(cost - 0.25) <= 4 * np.spacing(0.25)
-    sw = kfunctional_sandwich(f, 2, fresh_sweep(f))
+    sw = kfunctional_sandwich(f, 2, fresh_sweep())
     assert sw.upper == min(costs.values()) and costs[sw.candidate_id] == sw.upper
     assert sw.candidate_id == "utilde3_m4"
 
@@ -339,12 +339,11 @@ def test_sandwich_t2_n2_exact_tie_at_one_quarter():
 @pytest.mark.parametrize("name", ["t2", "exp", "abs52"])
 def test_sandwich_memo_shared_across_n_changes_nothing(name):
     # a run hands one Sweep to every check of every f and n; each check must
-    # report what it reports with a fresh Sweep of f alone, bit for bit,
-    # whichever function of the run misses first and so fills the Sweep for
-    # its siblings
+    # report what it reports with a fresh Sweep, bit for bit, whichever
+    # function of the run comes first
     f = get_function(name)
     siblings = [get_function(other) for other in ("t2", "exp", "abs52") if other != name]
-    shared = Sweep([f, *siblings], DEFAULT_GRID, 1e-10)
+    shared = Sweep(DEFAULT_GRID, 1e-10)
 
     def outcome(check, g, *args, sweep):
         try:
@@ -361,7 +360,7 @@ def test_sandwich_memo_shared_across_n_changes_nothing(name):
         for n in ns:
             for check, ell_mult in checks:
                 args = (n,) if ell_mult is None else (n, ell_mult * n)
-                assert outcome(check, g, *args, sweep=shared) == outcome(check, g, *args, sweep=fresh_sweep(g))
+                assert outcome(check, g, *args, sweep=shared) == outcome(check, g, *args, sweep=fresh_sweep())
     for m in (2, 4, 8):
         # the stored candidate norms are those of Utilde_m^3 f built afresh
         g = apply_Utilde_to_form(apply_Utilde_to_form(utilde_from_u(sweep_U(f, m)), m), m)
@@ -391,7 +390,7 @@ def test_sandwich_pruning_changes_no_bit(monkeypatch):
         return operator_outputs[f, m]
 
     def sandwiches(grid_size):
-        sweep = Sweep(fs, grid_size, 1e-10)
+        sweep = Sweep(grid_size, 1e-10)
         calls.clear()
         return {(f.name, n): kfunctional_sandwich(f, n, sweep) for f in fs for n in ns}, len(calls)
 
@@ -414,7 +413,7 @@ def test_iterate_lower_bound_reads_a_distance_taken_by_another_route(monkeypatch
     # ||Utilde_2 one - one|| is taken it is the candidate's distance and its
     # lower bound; only ||Dtilde^2 g|| is left to screen
     f = get_function("one")
-    sweep = fresh_sweep(f)
+    sweep = fresh_sweep()
     assert sweep.Utilde3(f, 2).coeffs.tobytes() == sweep.Utilde(f, 2).coeffs.tobytes()
     err = sweep.error(f, 2)
     screened = []
@@ -430,15 +429,15 @@ def test_sandwich_memo_keeps_specs_with_one_name_apart():
     # never read each other's operator outputs or norms
     square = polynomial_function("q", [0, 0, 1])
     cube = polynomial_function("q", [0, 0, 0, 1])
-    shared = fresh_sweep(square, cube)
-    assert check_direct(square, 4, shared) == check_direct(square, 4, fresh_sweep(square))
-    assert check_direct(cube, 4, shared) == check_direct(cube, 4, fresh_sweep(cube))
-    assert check_converse(cube, 4, 128, shared) == check_converse(cube, 4, 128, fresh_sweep(cube))
+    shared = fresh_sweep()
+    assert check_direct(square, 4, shared) == check_direct(square, 4, fresh_sweep())
+    assert check_direct(cube, 4, shared) == check_direct(cube, 4, fresh_sweep())
+    assert check_converse(cube, 4, 128, shared) == check_converse(cube, 4, 128, fresh_sweep())
 
 
 def test_sandwich_t2_n4_lower_value():
     f = get_function("t2")
-    sw = kfunctional_sandwich(f, 4, fresh_sweep(f))
+    sw = kfunctional_sandwich(f, 4, fresh_sweep())
     assert sw.lower == pytest.approx((1.0 / 40.0) / (1.0 + SQRT3), abs=1e-12)
 
 
@@ -446,7 +445,7 @@ def test_sandwich_t2_n4_lower_value():
 @pytest.mark.parametrize("n", [2, 8, 64])
 def test_sandwich_consistent(name, n):
     f = get_function(name)
-    sw = kfunctional_sandwich(f, n, fresh_sweep(f))
+    sw = kfunctional_sandwich(f, n, fresh_sweep())
     assert sw.lower <= sw.upper * (1 + 1e-9) + 1e-12
     assert sw.candidate_id
 
@@ -454,11 +453,11 @@ def test_sandwich_consistent(name, n):
 def test_direct_inequality():
     for name in ("t2", "exp", "abs52"):
         f = get_function(name)
-        sandwich, direct = check_direct(f, 4, fresh_sweep(f))
+        sandwich, direct = check_direct(f, 4, fresh_sweep())
         assert (sandwich.name, direct.name) == ("kf_sandwich", "direct")
         assert sandwich.passed and direct.passed
         # one sandwich: the direct row's lhs is its error, the sandwich's lhs its lower bound
-        sw = kfunctional_sandwich(f, 4, fresh_sweep(f))
+        sw = kfunctional_sandwich(f, 4, fresh_sweep())
         assert direct.lhs == sw.err == distance(utilde_from_u(sweep_U(f, 4)), f)
         assert sandwich.lhs == sw.lower == sw.err / (1.0 + SQRT3)
         assert (sandwich.rhs, direct.rhs) == (sw.upper, (1.0 + SQRT3) * sw.upper)
@@ -469,8 +468,8 @@ def test_direct_inequality():
 
 def test_converse_uses_the_sandwich_error():
     f = get_function("exp")
-    main, iterate = check_converse(f, 2, 32, fresh_sweep(f))
-    sw = kfunctional_sandwich(f, 2, fresh_sweep(f))
+    main, iterate = check_converse(f, 2, 32, fresh_sweep())
+    sw = kfunctional_sandwich(f, 2, fresh_sweep())
     err_ell = distance(utilde_from_u(sweep_U(f, 32)), f)
     assert main.lhs == sw.upper
     assert main.rhs == CONVERSE_CONSTANT * (32 / 2) ** 2 * (sw.err + err_ell)
@@ -479,7 +478,7 @@ def test_converse_uses_the_sandwich_error():
 
 def test_converse_t2_n2_huge_margin():
     f = get_function("t2")
-    main, iterate = check_converse(f, 2, 32, fresh_sweep(f))
+    main, iterate = check_converse(f, 2, 32, fresh_sweep())
     assert main.passed and iterate.passed
     assert main.lhs <= 0.25
     assert main.rhs > main.lhs * 10  # enormous margin
@@ -488,14 +487,14 @@ def test_converse_t2_n2_huge_margin():
 
 def test_converse_linear_trivial():
     f = get_function("t")
-    main, iterate = check_converse(f, 2, 32, fresh_sweep(f))
+    main, iterate = check_converse(f, 2, 32, fresh_sweep())
     assert main.passed and iterate.passed
     assert main.lhs <= 1e-12
 
 
 def test_converse_rough_function():
     f = get_function("abs52")
-    main, iterate = check_converse(f, 4, 64, fresh_sweep(f))
+    main, iterate = check_converse(f, 4, 64, fresh_sweep())
     assert main.passed and iterate.passed
 
 
@@ -574,7 +573,7 @@ def test_series_representation_float_pipeline():
         acc += term.eval(xs) / (k * k * (k + 1))
     p = utilde_from_u(sweep_U(f, n))
     resid = p.eval(xs) - f.eval(xs) + acc
-    d2_sup = fresh_sweep(f).dtilde_norm(f, 2)
+    d2_sup = fresh_sweep().dtilde_norm(f, 2)
     assert float(np.max(np.abs(resid))) <= d2_sup * tail_sums(N + 1).lam
 
 
@@ -622,7 +621,7 @@ def test_float_identities_rows():
 @pytest.mark.parametrize(("name", "rows"), [("t", 2), ("one", 2), ("t2", 1), ("abs52", 1)])
 def test_check_interpolation_rows(name, rows):
     f = get_function(name)
-    reports = check_interpolation(f, 5, fresh_sweep(f))
+    reports = check_interpolation(f, 5, fresh_sweep())
     assert [r.name for r in reports] == ["endpoint_interp", "linear_reproduction"][:rows]
     assert all(r.passed for r in reports)
 

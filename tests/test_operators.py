@@ -291,7 +291,8 @@ def u_coefficient_matrix_fraction(n: int, N: int) -> np.ndarray:
 
 @pytest.mark.parametrize(
     "n, N",
-    [(1, 0), (1, 4), (2, 0), (2, 2), (2, 9), (3, 40), (40, 3), (16, 16), (64, 64), (128, 128)],
+    # odd n among them: the rows past n/2 are mirror images of the first
+    [(1, 0), (1, 4), (2, 0), (2, 2), (2, 9), (3, 40), (40, 3), (7, 3), (16, 16), (64, 64), (128, 128), (255, 128)],
 )
 def test_u_coefficient_matrix_matches_fraction_oracle(n, N):
     A = u_coefficient_matrix(n, N)
