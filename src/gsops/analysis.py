@@ -438,7 +438,9 @@ class Sweep:
         if f.poly is None:
             coeffs = lambda: u_coefficients_numeric(f, m, self.tol)
         else:
-            coeffs = lambda: [float(c) for c in u_coefficients_exact(f.poly, m)]
+            def coeffs():
+                nums, den = u_coefficients_exact(f.poly, m)
+                return [num / den for num in nums]  # int / int is correctly rounded
         return self._memoized(("U", f, m), lambda: BernsteinForm(m, coeffs()))
 
     def Utilde(self, f: FunctionSpec, m: int) -> BernsteinForm:
@@ -502,6 +504,10 @@ def _ptilde_abs_sums(n: int, xs: np.ndarray) -> np.ndarray:
 
     Dtilde P_{n,k} is expanded on the neighbouring basis elements, which is
     finite at the endpoints (equals |1 - T_{n,k}/n| P_{n,k} on the interior).
+
+    L(x) = L(1 - x), so the argmax that ``check_lebesgue`` notes picks a side
+    by last bits: at n = 16 this sum gives 0.867795, and Ptilde built from
+    ``dtilde_coefficient_map(np.eye(n + 1))`` gives 0.132205.
     """
     B = bernstein_matrix(n, xs)
     k = np.arange(n + 1, dtype=float)

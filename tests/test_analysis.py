@@ -36,7 +36,7 @@ from gsops.analysis import (
 from gsops.basis import tail_sums
 from gsops.catalog import catalog_names, get_function, polynomial_function
 from gsops.errors import PreconditionError
-from gsops.exactpoly import ExactBernsteinForm, RationalPoly, dtilde_exact
+from gsops.exactpoly import RationalPoly, dtilde_exact
 from gsops.operators import (
     BernsteinForm,
     apply_Utilde_to_form,
@@ -45,7 +45,7 @@ from gsops.operators import (
     utilde_from_u,
 )
 
-from helpers import sweep_U
+from helpers import bernstein_form_from_poly, sweep_U
 
 T2 = RationalPoly([0, 0, 1])
 T3 = RationalPoly([0, 0, 0, 1])
@@ -54,11 +54,6 @@ T3 = RationalPoly([0, 0, 0, 1])
 def fresh_sweep(*fs) -> Sweep:
     """A Sweep of fs alone, on the CLI's default grid and tolerance."""
     return Sweep(DEFAULT_GRID, 1e-10)
-
-
-def bernstein_form_from_poly(q: RationalPoly, n: int) -> BernsteinForm:
-    """The exact degree-n Bernstein representation of q, rounded to floats."""
-    return BernsteinForm(n, np.array([float(c) for c in ExactBernsteinForm.from_poly(q, n).coeffs]))
 
 
 # -- constants -----------------------------------------------------------------

@@ -39,7 +39,7 @@ from gsops.cli import (
     render,
 )
 
-from helpers import sweep_U
+from helpers import break_u_coefficients, sweep_U
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "reference"
@@ -113,6 +113,16 @@ def test_verify_small_passes(tmp_path):
     assert all(not line.endswith(",fail") for line in lines[2:])
     assert any(line.startswith("telescope,t2,") for line in lines)
     assert any(line.startswith("phi_identity,") for line in lines)
+
+
+def test_verify_fails_on_a_broken_exact_engine(tmp_path, monkeypatch):
+    # N_1 one too large in the exact engine: each exact row compares two
+    # sides built from it, and fails
+    break_u_coefficients(monkeypatch)
+    code, text = run_cli(tmp_path, "verify", "--fns", "t2", "--n", "16")
+    assert code == EXIT_VIOLATION
+    failed = {line.split(",")[0] for line in text.splitlines()[2:] if line.endswith(",fail")}
+    assert failed == {"utilde_routes", "commute_identities", "telescope"}
 
 
 def eigen_relation_dev_loop(n: int, xs: np.ndarray) -> float:
@@ -521,7 +531,7 @@ def test_U_m_f_is_formed_in_analysis_alone():
     # operators is float algebra on Bernstein forms and imports nothing of
     # quadrature; no module but analysis (where Sweep alone reads them, see
     # above) reads the coefficients of U_m f, apart from exactpoly's own
-    # exact forms
+    # exact operators
     trees = _module_trees()
     from_quadrature = [
         node for node in ast.walk(trees["operators"])
@@ -731,6 +741,22 @@ def test_traced_benchmark_pass_runs(tmp_path):
     assert counters["operators.eval.point_calls"] < 100
     exact = [s for s in doc["spans"] if names[s[0]] == "exactpoly.u_coefficients_exact"]
     assert len(exact) == 5
+
+
+def test_traced_verify_spans_the_exact_checks(tmp_path):
+    # the per-layer metrics of the exact engine read these three spans
+    spans = tmp_path / "spans.json"
+    argv = ["verify", "--fns", "t2", "--n", "16", "--seed", "1"]
+    proc = subprocess.run(
+        [sys.executable, "perfbench/child.py", "trace", str(spans), "verify", "--", *argv],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "Traceback" not in proc.stderr
+    doc = json.loads(spans.read_text(encoding="utf-8"))
+    traced = {doc["names"][s[0]] for s in doc["spans"]}
+    for name in ("commute_check_exact", "telescope_check_exact", "u_coefficients_exact"):
+        assert f"exactpoly.{name}" in traced, name
 
 
 @pytest.mark.parametrize(

@@ -8,19 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsops import exactpoly
 from gsops.basis import tail_sums
 from gsops.catalog import CATALOG
+from gsops.errors import InvariantViolation
 from gsops.exactpoly import (
     PHI,
-    ExactBernsteinForm,
     RationalPoly,
+    _dtilde_bernstein,
     apply_U_exact,
     apply_Utilde_exact,
+    bernstein_to_poly,
     commute_check_exact,
     dtilde_exact,
     telescope_check_exact,
     u_coefficients_exact,
 )
+
+from helpers import bernstein_coeffs_from_poly, break_u_coefficients
 
 T = RationalPoly([0, 1])
 T2 = RationalPoly([0, 0, 1])
@@ -28,6 +33,7 @@ T3 = RationalPoly([0, 0, 0, 1])
 T4 = RationalPoly([0, 0, 0, 0, 1])
 T5_MINUS_T2 = RationalPoly([0, 0, -1, 0, 0, 1])
 ONE = RationalPoly([1])
+POLYNOMIALS = [name for name, spec in CATALOG.items() if spec.poly is not None]
 
 
 def bernstein_poly(n: int, k: int) -> RationalPoly:
@@ -87,21 +93,16 @@ def test_derivative_and_eval_float():
 def test_round_trip_monomial_bernstein(coeffs, extra):
     p = RationalPoly(coeffs)
     n = max(p.degree, 0) + extra
-    form = ExactBernsteinForm.from_poly(p, n)
-    assert form.to_poly() == p
-    raised = form.raise_degree(n + 3)
-    assert raised.to_poly() == p
-    # unequal degrees: subtraction raises the lower one exactly
-    assert (raised - form).max_abs_coeff() == 0
-    assert (raised - form.scale(2)).max_abs_coeff() == raised.max_abs_coeff()
+    assert bernstein_to_poly(bernstein_coeffs_from_poly(p, n)) == p
+    assert bernstein_to_poly(bernstein_coeffs_from_poly(p, n + 3)) == p
 
 
-def _to_poly_by_binomial_sum(form):
+def _to_poly_by_binomial_sum(coeffs):
     # a_j = C(n,j) * sum_i (-1)^(j-i) C(j,i) c_i
+    n = len(coeffs) - 1
     return RationalPoly(
-        math.comb(form.n, j)
-        * sum((-1) ** (j - i) * math.comb(j, i) * form.coeffs[i] for i in range(j + 1))
-        for j in range(form.n + 1)
+        math.comb(n, j) * sum((-1) ** (j - i) * math.comb(j, i) * coeffs[i] for i in range(j + 1))
+        for j in range(n + 1)
     )
 
 
@@ -110,8 +111,8 @@ def test_to_poly_matches_binomial_sum(n):
     rng = np.random.default_rng(n)
     nums = rng.integers(-50, 51, size=n + 1)
     dens = rng.integers(1, 40, size=n + 1)
-    form = ExactBernsteinForm(n, [Fraction(int(a), int(b)) for a, b in zip(nums, dens)])
-    assert form.to_poly() == _to_poly_by_binomial_sum(form)
+    coeffs = [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
+    assert bernstein_to_poly(coeffs) == _to_poly_by_binomial_sum(coeffs)
 
 
 @pytest.mark.parametrize("n", [17, 64, 129])
@@ -120,7 +121,7 @@ def test_to_poly_of_a_basis_polynomial(n):
     for k in sorted({0, 1, n // 2, n}):
         e_k = [0] * (n + 1)
         e_k[k] = 1
-        assert ExactBernsteinForm(n, e_k).to_poly() == bernstein_poly(n, k), k
+        assert bernstein_to_poly(e_k) == bernstein_poly(n, k), k
 
 
 @pytest.mark.parametrize(
@@ -129,12 +130,7 @@ def test_to_poly_of_a_basis_polynomial(n):
 def test_to_poly_of_a_low_degree_polynomial_at_high_degree(name):
     # the catalog polynomials, and the zero polynomial as the zero form of degree 129
     p = RationalPoly() if name == "zero" else CATALOG[name].poly
-    assert ExactBernsteinForm.from_poly(p, 129).to_poly() == p
-
-
-def test_from_poly_rejects_too_small_degree():
-    with pytest.raises(ValueError):
-        ExactBernsteinForm.from_poly(T3, 2)
+    assert bernstein_to_poly(bernstein_coeffs_from_poly(p, 129)) == p
 
 
 def test_phi_degree_raising_identity():
@@ -169,11 +165,16 @@ def _u_coefficients_by_beta_integrals(f: RationalPoly, n: int) -> list[Fraction]
     return [f(Fraction(0)), *interior, f(Fraction(1))]
 
 
+def _u_fractions(f: RationalPoly, n: int) -> list[Fraction]:
+    nums, den = u_coefficients_exact(f, n)
+    return [Fraction(c, den) for c in nums]
+
+
 def test_u_coefficients_beta_integral_examples():
     # the three integrals (n-1) * int P_{n-2,k-1} f: P_{0,0} * 1, 3 * P_{2,1} * 1, P_{0,0} * t^2
-    assert u_coefficients_exact(ONE, 2)[1] == 1
-    assert u_coefficients_exact(ONE, 4)[2] == 1
-    assert u_coefficients_exact(T2, 2)[1] == Fraction(1, 3)
+    assert _u_fractions(ONE, 2)[1] == 1
+    assert _u_fractions(ONE, 4)[2] == 1
+    assert _u_fractions(T2, 2)[1] == Fraction(1, 3)
 
 
 def _random_rational_poly(rng, degree: int) -> RationalPoly:
@@ -188,25 +189,33 @@ def test_u_coefficients_match_the_beta_integral_oracle():
     for degree in range(-1, 8):
         for n in ns:
             f = _random_rational_poly(rng, degree)
-            assert u_coefficients_exact(f, n) == _u_coefficients_by_beta_integrals(f, n), (degree, n)
+            assert _u_fractions(f, n) == _u_coefficients_by_beta_integrals(f, n), (degree, n)
 
 
 def test_u_coefficients_examples():
     for n in (1, 2, 3, 9):
-        assert u_coefficients_exact(ONE, n) == [Fraction(1)] * (n + 1)
-    assert u_coefficients_exact(T, 2) == [0, Fraction(1, 2), 1]
-    assert u_coefficients_exact(T2, 2) == [0, Fraction(1, 3), 1]
+        assert _u_fractions(ONE, n) == [Fraction(1)] * (n + 1)
+    assert _u_fractions(T, 2) == [0, Fraction(1, 2), 1]
+    assert _u_fractions(T2, 2) == [0, Fraction(1, 3), 1]
+
+
+@pytest.mark.parametrize("name", POLYNOMIALS)
+def test_u_coefficients_round_once_to_float(name):
+    # int / int true division is correctly rounded, as float(Fraction) is
+    for n in (1, 2, 7, 16, 129, 512):
+        nums, den = u_coefficients_exact(CATALOG[name].poly, n)
+        assert [c / den for c in nums] == [float(Fraction(c, den)) for c in nums]
 
 
 def test_apply_U_reproduces_linears():
     for n in range(1, 13):
         f = RationalPoly([Fraction(2, 7), Fraction(-3, 5)])
-        assert apply_U_exact(f, n).to_poly() == f
+        assert apply_U_exact(f, n) == f
 
 
 def test_apply_U_t2_example():
     # U_2 t^2 = x^2 + (2/3) phi
-    got = apply_U_exact(T2, 2).to_poly()
+    got = apply_U_exact(T2, 2)
     assert got == T2 + Fraction(2, 3) * PHI
 
 
@@ -214,7 +223,7 @@ def test_U1_degenerate_convention():
     # U_1 f = f(0)(1-x) + f(1) x, the empty middle sum
     for f in (T3, T5_MINUS_T2, RationalPoly([5, -2, 1])):
         expected = f(Fraction(0)) * RationalPoly([1, -1]) + f(Fraction(1)) * T
-        assert apply_U_exact(f, 1).to_poly() == expected
+        assert apply_U_exact(f, 1) == expected
 
 
 # -- Dtilde --------------------------------------------------------------------
@@ -230,8 +239,8 @@ def test_dtilde_examples():
 def test_dtilde_form_map_matches_polynomial_route():
     for n in (2, 3, 6, 11):
         for f in (T2, T3, T5_MINUS_T2):
-            form = apply_U_exact(f, n)
-            assert form.dtilde().to_poly() == dtilde_exact(form.to_poly())
+            nums, _ = u_coefficients_exact(f, n)
+            assert bernstein_to_poly(_dtilde_bernstein(nums)) == dtilde_exact(bernstein_to_poly(nums))
 
 
 # -- Utilde --------------------------------------------------------------------
@@ -240,16 +249,16 @@ def test_dtilde_form_map_matches_polynomial_route():
 def test_apply_Utilde_fixes_linears():
     for n in (1, 2, 5, 9):
         f = RationalPoly([1, Fraction(3, 4)])
-        assert apply_Utilde_exact(f, n).to_poly() == f
+        assert apply_Utilde_exact(f, n) == f
 
 
 def test_apply_Utilde_t2_pattern():
     # Utilde_n t^2 = x^2 + 2 phi / (n (n+1)), checked exactly for n = 2..20
     for n in range(2, 21):
-        got = apply_Utilde_exact(T2, n).to_poly()
+        got = apply_Utilde_exact(T2, n)
         assert got == T2 + Fraction(2, n * (n + 1)) * PHI
-    assert apply_Utilde_exact(T2, 3).to_poly() == T2 + Fraction(1, 6) * PHI
-    assert apply_Utilde_exact(T2, 2).to_poly() == T2 + Fraction(1, 3) * PHI
+    assert apply_Utilde_exact(T2, 3) == T2 + Fraction(1, 6) * PHI
+    assert apply_Utilde_exact(T2, 2) == T2 + Fraction(1, 3) * PHI
 
 
 @given(
@@ -269,31 +278,6 @@ def test_commute_examples():
     assert set(commute_check_exact(T3, 4, 6).values()) == {Fraction(0)}
     assert set(commute_check_exact(T5_MINUS_T2, 3, 5).values()) == {Fraction(0)}
     assert set(commute_check_exact(ONE, 2, 3).values()) == {Fraction(0)}
-
-
-def _count_to_poly(monkeypatch):
-    calls = []
-    plain = ExactBernsteinForm.to_poly
-
-    def counting(self):
-        calls.append(self.n)
-        return plain(self)
-
-    monkeypatch.setattr(ExactBernsteinForm, "to_poly", counting)
-    return calls
-
-
-def test_commute_expands_only_the_monomial_operands(monkeypatch):
-    # only the operands of apply_U_exact: U_n f, Utilde_n f and Utilde_m f
-    calls = _count_to_poly(monkeypatch)
-    commute_check_exact(T5_MINUS_T2, 16, 17)
-    assert len(calls) <= 3
-
-
-def test_telescope_compares_bernstein_forms(monkeypatch):
-    calls = _count_to_poly(monkeypatch)
-    telescope_check_exact(T5_MINUS_T2, 16)
-    assert calls == []
 
 
 def test_telescope_examples():
@@ -317,9 +301,9 @@ def test_series_representation_partial_sums():
         acc = RationalPoly()
         df = dtilde_exact(f)
         for k in range(n, N + 1):
-            term = apply_U_exact(df, k + 1).dtilde().to_poly()
+            term = dtilde_exact(apply_U_exact(df, k + 1))
             acc = acc + Fraction(1, k * k * (k + 1)) * term
-        resid = apply_Utilde_exact(f, n).to_poly() - f + acc
+        resid = apply_Utilde_exact(f, n) - f + acc
         xs = np.linspace(0.0, 1.0, 2001)
         sup_resid = float(np.max(np.abs(resid.eval_float(xs))))
         d2f = dtilde_exact(df)
@@ -332,3 +316,34 @@ def test_invalid_indexing():
         u_coefficients_exact(T2, 0)
     with pytest.raises(ValueError):
         telescope_check_exact(T2, 0)
+
+
+# -- the checks can fail --------------------------------------------------------------
+
+_CHECKS = {
+    "utilde_routes": lambda p: apply_Utilde_exact(p, 16),
+    "commute": lambda p: commute_check_exact(p, 16, 17),
+    "telescope": lambda p: telescope_check_exact(p, 16),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_CHECKS))
+@pytest.mark.parametrize("name", POLYNOMIALS)
+def test_exact_checks_catch_an_off_by_one_coefficient(monkeypatch, name, check):
+    break_u_coefficients(monkeypatch)
+    with pytest.raises(InvariantViolation):
+        _CHECKS[check](CATALOG[name].poly)
+
+
+@pytest.mark.parametrize("check", ["commute", "telescope"])
+@pytest.mark.parametrize("name", POLYNOMIALS)
+def test_identities_catch_it_without_the_route_check(monkeypatch, name, check):
+    # Utilde_n f by route (i) alone, unchecked: each identity must still fail
+    # by comparing its own two sides
+    break_u_coefficients(monkeypatch)
+    monkeypatch.setattr(
+        exactpoly, "apply_Utilde_exact",
+        lambda f, n: apply_U_exact(f - Fraction(1, n) * dtilde_exact(f), n),
+    )
+    with pytest.raises(InvariantViolation):
+        _CHECKS[check](CATALOG[name].poly)

@@ -10,7 +10,6 @@ from gsops.basis import bernstein_matrix, t_matrix
 from gsops.catalog import get_function, polynomial_function
 from gsops.exactpoly import (
     PHI,
-    ExactBernsteinForm,
     RationalPoly,
     apply_Utilde_exact,
     dtilde_exact,
@@ -27,7 +26,7 @@ from gsops.operators import (
     utilde_from_u,
 )
 
-from helpers import sweep_U
+from helpers import bernstein_form_from_poly, sweep_U
 
 EPS = float(np.finfo(float).eps)
 GRID = np.linspace(0.0, 1.0, 2001)
@@ -36,14 +35,10 @@ T2 = RationalPoly([0, 0, 1])
 
 def utilde_of_poly(q: RationalPoly, n: int) -> BernsteinForm:
     """Float Utilde_n applied to an exact polynomial (test helper)."""
-    u = np.array([float(c) for c in u_coefficients_exact(q, n)])
+    nums, den = u_coefficients_exact(q, n)
+    u = np.array([c / den for c in nums])
     p = BernsteinForm(n, u)
     return p - dtilde_form(p).scale(1.0 / n)
-
-
-def bernstein_form_from_poly(q: RationalPoly, n: int) -> BernsteinForm:
-    """The exact degree-n Bernstein representation of q, rounded to floats."""
-    return BernsteinForm(n, np.array([float(c) for c in ExactBernsteinForm.from_poly(q, n).coeffs]))
 
 
 def sup_on_grid(fn) -> float:
@@ -168,7 +163,7 @@ def test_apply_Utilde_t2_n3():
 def test_apply_Utilde_matches_exact_oracle(name, n):
     f = get_function(name)
     p = utilde_from_u(sweep_U(f, n))
-    exact = apply_Utilde_exact(f.poly, n).to_poly()
+    exact = apply_Utilde_exact(f.poly, n)
     assert sup_on_grid(lambda t: p.eval(t) - exact.eval_float(t)) <= 1e-10
 
 
@@ -229,8 +224,8 @@ def test_iterate_matches_exact_composition():
     # float Utilde_2(Utilde_2 t^2) against the exact-engine composition
     f = get_function("t2")
     got = apply_Utilde_to_form(utilde_from_u(sweep_U(f, 2)), 2)
-    inner = apply_Utilde_exact(T2, 2).to_poly()
-    outer = apply_Utilde_exact(inner, 2).to_poly()
+    inner = apply_Utilde_exact(T2, 2)
+    outer = apply_Utilde_exact(inner, 2)
     assert sup_on_grid(lambda t: got.eval(t) - outer.eval_float(t)) <= 1e-10
 
 
@@ -253,7 +248,8 @@ def test_apply_U_to_form_matches_exact(n):
     q = RationalPoly([1, -2, 0, "3/2", 0, 1])
     form = bernstein_form_from_poly(q, q.degree)
     got = u_coefficient_matrix(n, form.n) @ form.coeffs
-    exact = [float(c) for c in u_coefficients_exact(q, n)]
+    nums, den = u_coefficients_exact(q, n)
+    exact = [c / den for c in nums]
     assert got == pytest.approx(exact, abs=1e-13)
 
 
@@ -261,7 +257,7 @@ def test_apply_Utilde_to_form_matches_exact():
     q = RationalPoly([0, 0, 1, 2])
     form = bernstein_form_from_poly(q, 3)
     got = apply_Utilde_to_form(form, 4)
-    exact = apply_Utilde_exact(q, 4).to_poly()
+    exact = apply_Utilde_exact(q, 4)
     assert sup_on_grid(lambda t: got.eval(t) - exact.eval_float(t)) <= 1e-12
 
 
