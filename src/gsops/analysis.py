@@ -413,10 +413,11 @@ class Sweep:
 
     Every check takes them from here; U_m f is formed here alone, once per
     (f, m): a polynomial takes its exact coefficients, any other function the
-    coefficients of its closed-form route, certified to ``tol``.  Values are
-    keyed by the function spec, so two specs that share a name never share a
-    value, and a computation that raises stores nothing.  The sup norms are
-    taken on the grid of ``grid_size`` points.
+    coefficients of its closed-form route, certified to
+    ``quadrature.COEFFICIENT_TOL``.  Values are keyed by the function spec, so
+    two specs that share a name never share a value, and a computation that
+    raises stores nothing.  The sup norms are taken on the grid of
+    ``grid_size`` points.
 
     An operator error ||p - f|| is keyed by f and the bits of p's
     coefficients, not by the operator that built p: U_m f and Utilde_m f of a
@@ -424,9 +425,8 @@ class Sweep:
     same bits, and then share one sup norm.
     """
 
-    def __init__(self, grid_size: int, tol: float) -> None:
+    def __init__(self, grid_size: int) -> None:
         self.grid_size = grid_size
-        self.tol = tol
         self._values: dict[tuple, object] = {}
 
     def _memoized(self, key: tuple, compute: Callable):
@@ -436,7 +436,7 @@ class Sweep:
 
     def U(self, f: FunctionSpec, m: int) -> BernsteinForm:
         if f.poly is None:
-            coeffs = lambda: u_coefficients_numeric(f, m, self.tol)
+            coeffs = lambda: u_coefficients_numeric(f, m)
         else:
             def coeffs():
                 nums, den = u_coefficients_exact(f.poly, m)
@@ -788,7 +788,7 @@ def kfunctional_sandwich(f: FunctionSpec, n: int, sweep: Sweep) -> KfSandwich:
     t = 1.0 / n**2
 
     ms = (n, 2 * n, 4 * n, 8 * n)
-    for m in ms:  # a route that misses tol raises before f's own cost is taken, as without pruning
+    for m in ms:  # an uncertified route raises before f's own cost is taken, as without pruning
         sweep.Utilde3(f, m)
     own_cost = t * sweep.dtilde_norm(f, 2) if f.smoothness.w20 and f.smoothness.dtilde_w2 else math.inf
     best_cost = math.inf

@@ -16,6 +16,7 @@ from .catalog import CATALOG, FunctionSpec, catalog_names, get_function
 from .errors import InvariantViolation, PreconditionError, ToleranceError
 from .exactpoly import apply_Utilde_exact, commute_check_exact, telescope_check_exact
 from .operators import BernsteinForm
+from .quadrature import COEFFICIENT_TOL
 from .analysis import (
     DEFAULT_GRID,
     InequalityReport,
@@ -40,7 +41,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -63,7 +63,6 @@ class RunConfig:
     n_list: tuple[int, ...]
     ell_mult: int
     grid_size: int
-    tol: float
     out: str
     fmt: str
     seed: int
@@ -73,8 +72,11 @@ class RunConfig:
 
     def digest(self) -> str:
         # the output path is not part of the computation; identical runs must
-        # produce byte-identical files wherever they are written
+        # produce byte-identical files wherever they are written.  Every run
+        # still depends on the bound its operator coefficients are certified
+        # to, and the stored headers hash it, so it stays in the payload.
         payload = {k: v for k, v in asdict(self).items() if k != "out"}
+        payload["tol"] = COEFFICIENT_TOL
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
 
 
@@ -171,7 +173,7 @@ def cmd_verify(cfg: RunConfig) -> list[dict]:
     rows: list[dict] = []
     rng = np.random.default_rng(cfg.seed)
     fs = [get_function(name) for name in cfg.fns]
-    sweep = Sweep(cfg.grid_size, cfg.tol)
+    sweep = Sweep(cfg.grid_size)
     for n in cfg.n_list:
         for f in fs:
             if f.poly is not None:
@@ -194,7 +196,7 @@ _TABLE_COLUMNS = ["f", "n", "err_U", "err_Utilde", "lambda_n", "bound_jackson", 
 def cmd_table(cfg: RunConfig) -> list[dict]:
     rows: list[dict] = []
     fs = [get_function(name) for name in cfg.fns]
-    sweep = Sweep(cfg.grid_size, cfg.tol)
+    sweep = Sweep(cfg.grid_size)
     for f in fs:
         jackson_ok = f.smoothness.w20 and f.smoothness.dtilde_w2
         d2norm = sweep.dtilde_norm(f, 2) if jackson_ok else None
@@ -238,7 +240,7 @@ def cmd_table(cfg: RunConfig) -> list[dict]:
 def cmd_norms(cfg: RunConfig) -> list[dict]:
     rows: list[dict] = []
     fs = [get_function(name) for name in cfg.fns]
-    sweep = Sweep(cfg.grid_size, cfg.tol)
+    sweep = Sweep(cfg.grid_size)
     for n in cfg.n_list:
         rows.append(_report_row(check_lebesgue(n, cfg.grid_size)))
         for f in fs:
@@ -258,7 +260,7 @@ def _guarded_sweep(cfg: RunConfig, name: str, check, ell_mult=None) -> list[dict
     every f and n, as in every command.
     """
     rows: list[dict] = []
-    sweep = Sweep(cfg.grid_size, cfg.tol)
+    sweep = Sweep(cfg.grid_size)
     for f in (get_function(fname) for fname in cfg.fns):
         for n in cfg.n_list:
             ell = None if ell_mult is None else ell_mult * n
@@ -365,9 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ell-mult", type=int, default=16,
                        help="second scale multiplier: ell = mult * n (converse)")
         p.add_argument("--grid", type=int, default=DEFAULT_GRID, help="sup-norm grid size")
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="error bound to which each operator coefficient of a "
-                       "non-polynomial function must be certified")
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
         p.add_argument("--seed", type=int, default=20240801, help="seed for randomized probes")
@@ -399,8 +398,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ValueError("all n values must be >= 2")
     if args.grid < 64:
         raise ValueError("grid size must be >= 64")
-    if not (math.isfinite(args.tol) and args.tol > 0.0):
-        raise ValueError("tolerance must be a finite number > 0")
     if args.probes < 0:
         raise ValueError("probe count must be >= 0")
     if args.ell_mult < 1:
@@ -413,7 +410,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         n_list=n_list,
         ell_mult=args.ell_mult,
         grid_size=args.grid,
-        tol=args.tol,
         out=args.out,
         fmt=args.fmt,
         seed=args.seed,

@@ -8,16 +8,7 @@ class InvariantViolation(RuntimeError):
 
 
 class ToleranceError(RuntimeError):
-    """A computation could not be certified to its target tolerance.
-
-    Carries the values computed in ``best`` and the error bound they were
-    certified to in ``achieved``.
-    """
-
-    def __init__(self, message: str, best=None, achieved: float | None = None):
-        super().__init__(message)
-        self.best = best
-        self.achieved = achieved
+    """A computation could not be certified to its target tolerance."""
 
 
 class PreconditionError(ValueError):

@@ -141,20 +141,19 @@ class BernsteinForm:
 def dtilde_coefficient_map(coeffs: np.ndarray) -> np.ndarray:
     """The action of Dtilde on degree-n Bernstein coefficients along the last axis.
 
-    Computes the second-difference representation of p'' in the degree-(n-2)
-    basis scaled by n(n-1), then raises it back with
-    phi P_{n-2,k} = ((k+1)(n-k-1) / ((n-1)n)) P_{n,k+1}.  Annihilates
-    coefficient vectors that are affine in k.  Each row of a stack maps as
-    it would alone.
+    d_j = j(n-j) (c_{j-1} - 2c_j + c_{j+1}), d_0 = d_n = 0: p'' in the
+    degree-(n-2) basis is n(n-1) times the second differences, and
+    phi P_{n-2,j-1} = (j(n-j) / ((n-1)n)) P_{n,j}.  The formula of the exact
+    engine (exactpoly._dtilde_bernstein).  Annihilates coefficient vectors
+    that are affine in j.  Each row of a stack maps as it would alone.
     """
     c = np.asarray(coeffs, dtype=float)
     n = c.shape[-1] - 1
     out = np.zeros_like(c)
     if n < 2:
         return out
-    second = n * (n - 1) * np.diff(c, n=2, axis=-1)
-    k = np.arange(n - 1, dtype=float)
-    out[..., 1:n] = second * ((k + 1) * (n - k - 1) / ((n - 1) * n))
+    j = np.arange(1, n, dtype=float)
+    out[..., 1:n] = j * (n - j) * np.diff(c, n=2, axis=-1)
     return out
 
 

@@ -12,9 +12,9 @@ from gsops.exactpoly import RationalPoly
 from gsops.operators import BernsteinForm
 
 
-def sweep_U(f, n, tol=1e-10):
-    """U_n f from a new Sweep, its coefficients certified to ``tol``."""
-    return Sweep(DEFAULT_GRID, tol).U(f, n)
+def sweep_U(f, n):
+    """U_n f from a new Sweep, as every command forms it."""
+    return Sweep(DEFAULT_GRID).U(f, n)
 
 
 def bernstein_coeffs_from_poly(q: RationalPoly, n: int) -> list[Fraction]:

@@ -185,7 +185,7 @@ def test_criterion_5_jackson():
     assert {f.name for f in eligible} == {"one", "t", "t2", "t3", "t5mt2", "exp", "sinpi"}
     all_pass = True
     for f in eligible:
-        sweep = Sweep(DEFAULT_GRID, 1e-10)
+        sweep = Sweep(DEFAULT_GRID)
         for n in (2, 4, 8, 16, 32, 64):
             rep = check_jackson(f, n, sweep)
             all_pass &= rep.passed
@@ -203,11 +203,11 @@ def test_criterion_6_voronovskaya():
     all_pass = True
     for name in ("t2", "t3", "exp"):
         f = get_function(name)
-        sweep = Sweep(DEFAULT_GRID, 1e-10)
+        sweep = Sweep(DEFAULT_GRID)
         for n in (2, 4, 8, 16, 32):
             all_pass &= check_voronovskaya(f, n, sweep).passed
     t2 = get_function("t2")
-    rep = check_voronovskaya(t2, 2, Sweep(DEFAULT_GRID, 1e-10))
+    rep = check_voronovskaya(t2, 2, Sweep(DEFAULT_GRID))
     lam2 = math.pi**2 / 6.0 - 1.5  # high-precision tail-sum oracle
     th2 = math.pi**2 / 3.0 - 3.25
     lhs_ok = abs(rep.lhs - abs(1.0 / 3.0 - 4.0 * lam2) / 4.0) <= 1e-9
@@ -224,7 +224,7 @@ def test_criterion_6_voronovskaya():
 def test_criterion_7a_bernstein_bound_catalog_and_probes():
     all_pass = True
     for f in CATALOG.values():
-        sweep = Sweep(DEFAULT_GRID, 1e-10)
+        sweep = Sweep(DEFAULT_GRID)
         for n in range(2, 65):
             all_pass &= check_bernstein_inequality(f, n, sweep).passed
     worst_ratio = 0.0
@@ -450,7 +450,7 @@ def test_criterion_9b_rate_windows_as_stated(criterion_9_slopes):
     stated_certified = set()
     for name in ("t2", "exp", "sinpi"):
         f = get_function(name)
-        sweep = Sweep(DEFAULT_GRID, 1e-10)
+        sweep = Sweep(DEFAULT_GRID)
         d2, d3 = sweep.dtilde_norm(f, 2), sweep.dtilde_norm(f, 3)
 
         stated = _voronovskaya_slope_interval(d2, d3, NS_STATED)
@@ -486,7 +486,7 @@ def test_criterion_10_sandwich_direct_converse():
     worst = ""
     for name in sorted(CATALOG):
         f = get_function(name)
-        sweep = Sweep(DEFAULT_GRID, 1e-10)
+        sweep = Sweep(DEFAULT_GRID)
         for n in (2, 4, 8):
             sw = kfunctional_sandwich(f, n, sweep)
             err_n = sup_norm(lambda x, p=utilde_from_u(sweep_U(f, n)): p.eval(x) - f.eval(x)).value
@@ -498,7 +498,7 @@ def test_criterion_10_sandwich_direct_converse():
                 worst = f"{name} n={n}"
     # the scale threshold is enforced: ell = 15 n < ceil(L n) must be rejected
     with pytest.raises(PreconditionError):
-        check_converse(get_function("t2"), 4, 15 * 4, Sweep(DEFAULT_GRID, 1e-10))
+        check_converse(get_function("t2"), 4, 15 * 4, Sweep(DEFAULT_GRID))
     assert math.ceil(CONVERSE_SCALE_FACTOR * 4) <= 64  # ell = 16n passes the gate
     assert CONVERSE_CONSTANT == pytest.approx(4.0 + SQRT3 + BERNSTEIN_CONSTANT**2)
     announce("10 sandwich + direct + converse", all_ok,

@@ -52,8 +52,8 @@ T3 = RationalPoly([0, 0, 0, 1])
 
 
 def fresh_sweep(*fs) -> Sweep:
-    """A Sweep of fs alone, on the CLI's default grid and tolerance."""
-    return Sweep(DEFAULT_GRID, 1e-10)
+    """A Sweep of fs alone, on the CLI's default grid."""
+    return Sweep(DEFAULT_GRID)
 
 
 # -- constants -----------------------------------------------------------------
@@ -338,7 +338,7 @@ def test_sandwich_memo_shared_across_n_changes_nothing(name):
     # function of the run comes first
     f = get_function(name)
     siblings = [get_function(other) for other in ("t2", "exp", "abs52") if other != name]
-    shared = Sweep(DEFAULT_GRID, 1e-10)
+    shared = Sweep(DEFAULT_GRID)
 
     def outcome(check, g, *args, sweep):
         try:
@@ -385,7 +385,7 @@ def test_sandwich_pruning_changes_no_bit(monkeypatch):
         return operator_outputs[f, m]
 
     def sandwiches(grid_size):
-        sweep = Sweep(grid_size, 1e-10)
+        sweep = Sweep(grid_size)
         calls.clear()
         return {(f.name, n): kfunctional_sandwich(f, n, sweep) for f in fs for n in ns}, len(calls)
 

@@ -3,6 +3,8 @@
 import ast
 import contextlib
 import csv
+import dataclasses
+import hashlib
 import importlib
 import inspect
 import io
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 import gsops.basis
 import gsops.catalog
 import gsops.cli
+import gsops.quadrature
 from gsops.analysis import _eigen_relation_dev
 from gsops.basis import bernstein_matrix, t_matrix
 from gsops.catalog import catalog_names
@@ -31,6 +34,7 @@ from gsops.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
+    RunConfig,
     _fail_row,
     build_parser,
     config_from_args,
@@ -45,8 +49,9 @@ ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "reference"
 #: The output of the benchmark's invocations where it has moved off the
 #: benchmark's references, which predate the closed-form coefficients of exp,
-#: sinpi and abs52: the rows of those functions moved, within the benchmark's
-#: gate.  verify runs no such function and keeps its reference.
+#: sinpi and abs52 and D-tilde as j(n-j) times the second differences: the
+#: rows of those functions and a few D-tilde rows of norms moved, within the
+#: benchmark's gate.  verify runs no such function and keeps its reference.
 MOVED = ROOT / "tests" / "reference"
 
 
@@ -336,12 +341,6 @@ def test_eval_non_finite_points_is_usage_error(tmp_path, capsys, points):
 # -- boundaries: bad input is a usage error, never a traceback or a NaN --------------
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
-def test_non_positive_or_non_finite_tol_is_usage_error(tol, capsys):
-    assert main(["table", "--fns", "exp", "--n", "4", "--tol", tol]) == EXIT_USAGE
-    assert "configuration error" in capsys.readouterr().err
-
-
 def test_negative_probes_is_usage_error(capsys):
     assert main(["norms", "--fns", "t2", "--n", "4", "--probes", "-3"]) == EXIT_USAGE
     assert "configuration error" in capsys.readouterr().err
@@ -368,9 +367,25 @@ def test_negative_seed_is_usage_error_before_any_work(command, capsys):
     assert err == "gsops: configuration error: --seed must be >= 0\n"
 
 
-def test_unreachable_tolerance_is_usage_error_without_traceback(capsys):
-    # a valid but unreachable target: the quadrature raises ToleranceError
-    assert main(["table", "--fns", "exp", "--n", "4", "--tol", "1e-300"]) == EXIT_USAGE
+def test_retired_tol_is_an_unknown_option(capsys):
+    # the coefficient bound is fixed in gsops.quadrature, not an option
+    with pytest.raises(SystemExit) as exc_info:
+        main(["table", "--fns", "exp", "--n", "4", "--tol", "1e-10"])
+    assert exc_info.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --tol 1e-10" in err
+    assert "Traceback" not in err
+
+
+@pytest.fixture
+def unreachable_tol(monkeypatch):
+    """A coefficient bound that no route certifies."""
+    monkeypatch.setattr(gsops.quadrature, "COEFFICIENT_TOL", 1e-300)
+
+
+def test_unreachable_tolerance_is_usage_error_without_traceback(unreachable_tol, capsys):
+    # an unreachable bound: the coefficient route raises ToleranceError
+    assert main(["table", "--fns", "exp", "--n", "4"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("gsops: ToleranceError:") and err.count("\n") == 1
     assert "Traceback" not in err
@@ -386,17 +401,17 @@ def test_unreachable_tolerance_is_usage_error_without_traceback(capsys):
     ],
     ids=["kfunc", "norms", "verify", "voronovskaya"],
 )
-def test_unreachable_tolerance_inside_a_check_is_usage_error(argv, capsys):
-    # exit 1 is kept for violated checks; a quadrature that cannot reach
-    # --tol is not a verdict on the inequality
-    assert main([*argv, "--tol", "1e-300"]) == EXIT_USAGE
+def test_unreachable_tolerance_inside_a_check_is_usage_error(argv, unreachable_tol, capsys):
+    # exit 1 is kept for violated checks; a route that cannot certify
+    # COEFFICIENT_TOL is not a verdict on the inequality
+    assert main(argv) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("gsops: ToleranceError:") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
-def test_unreachable_tolerance_in_a_shared_quadrature_is_the_first_functions(capsys):
+def test_unreachable_tolerance_in_a_shared_quadrature_is_the_first_functions(unreachable_tol, capsys):
     # both functions miss tol = 1e-300; the run takes f outer, so it stops at
     # the first coefficients of exp (m = 2 at n = 2), with that call's line
     from gsops.catalog import get_function
@@ -404,8 +419,8 @@ def test_unreachable_tolerance_in_a_shared_quadrature_is_the_first_functions(cap
     from gsops.quadrature import u_coefficients_numeric
 
     with pytest.raises(ToleranceError) as lone:
-        u_coefficients_numeric(get_function("exp"), 2, 1e-300)
-    assert main(["kfunc", "--fns", "exp,abs52", "--tol", "1e-300"]) == EXIT_USAGE
+        u_coefficients_numeric(get_function("exp"), 2)
+    assert main(["kfunc", "--fns", "exp,abs52"]) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"gsops: ToleranceError: {lone.value}\n"
@@ -669,8 +684,10 @@ def test_norms_matches_reference(tmp_path):
 def test_moved_output_passes_the_benchmark_gate(monkeypatch, command):
     # same header, rows, verdicts and notes as the benchmark's reference, and
     # every number within its gate; only rows of exp, sinpi and abs52 moved,
-    # and the lhs of norms' c_n_bound row at n = 128, which the vectorized
-    # T_{n,k} moved by 5.7e-14 (1.9e-16 relative) before them
+    # the lhs of norms' c_n_bound row at n = 128, which the vectorized
+    # T_{n,k} moved by 5.7e-14 (1.9e-16 relative) before them, and the lhs
+    # of seven polynomial and probe rows of norms, which D-tilde as
+    # j(n-j) times the second differences moved by at most 4.4e-16 relative
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     check = importlib.import_module("check")
     reference = (REFERENCE / f"{command}.csv").read_text(encoding="utf-8")
@@ -680,14 +697,24 @@ def test_moved_output_passes_the_benchmark_gate(monkeypatch, command):
     ref_lines, lines = reference.splitlines(), moved.splitlines()
     f_col = lines[1].split(",").index("f")
     changed = [line for ref_line, line in zip(ref_lines, lines, strict=True) if line != ref_line]
+    dtilde_moved = (
+        "bernstein,t2,128,,",
+        "bernstein,t5mt2,16,,",
+        "bernstein,t5mt2,32,,",
+        "bernstein,t5mt2,128,,",
+        "bernstein_probes,random,16,,",
+        "bernstein_probes,random,32,,",
+        "bernstein_probes,random,64,,",
+    )
     assert changed and all(
-        line.split(",")[f_col] in ("exp", "sinpi", "abs52") or line.startswith("c_n_bound,-,128,") for line in changed
+        line.split(",")[f_col] in ("exp", "sinpi", "abs52") or line.startswith(("c_n_bound,-,128,", *dtilde_moved))
+        for line in changed
     )
 
 
 def test_benchmark_headers_unchanged(monkeypatch):
-    # the header's config hash covers every RunConfig field, --tol's default
-    # among them: each invocation of the benchmark, at its arguments and
+    # the header's config hash covers every RunConfig field and the fixed
+    # coefficient bound: each invocation of the benchmark, at its arguments and
     # --seed 1, heads its output with its reference's first line (the tests
     # above run them and compare whole files)
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
@@ -698,6 +725,24 @@ def test_benchmark_headers_unchanged(monkeypatch):
         cfg = config_from_args(build_parser().parse_args([*argv, "--seed", "1"]))
         header = render(cfg, [], _COMMANDS[cfg.command][1]).split("\n", 1)[0]
         assert header == (REFERENCE / f"{argv[0]}.csv").read_text(encoding="utf-8").split("\n", 1)[0], argv
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_options_are_the_hashed_config(command):
+    # every option is a RunConfig field and the digest hashes every field but
+    # out, plus the coefficient bound that --tol once set (the stored headers
+    # hash it): a new knob cannot enter or leave the header silently
+    parsed_into = {"n_spec": "n_list", "grid": "grid_size"}
+    sub = build_parser()._subparsers._group_actions[0].choices[command]
+    dests = {parsed_into.get(a.dest, a.dest) for a in sub._actions if a.dest != "help"}
+    fields = {field.name for field in dataclasses.fields(RunConfig)}
+    eval_only = set() if command == "eval" else {"form_path", "points"}
+    assert dests | {"command"} == fields - eval_only
+    cfg = config_from_args(build_parser().parse_args([command, "--form", "f.json"] if command == "eval" else [command]))
+    payload = {k: v for k, v in dataclasses.asdict(cfg).items() if k != "out"}
+    payload["tol"] = gsops.quadrature.COEFFICIENT_TOL
+    assert cfg.digest() == hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
+    assert dataclasses.replace(cfg, out="elsewhere.csv").digest() == cfg.digest()
 
 
 def test_verify_matches_reference(tmp_path):
@@ -862,7 +907,6 @@ def cli_argv(draw, form_path: str) -> list[str]:
         "--fns", ",".join(fns),
         "--n", ",".join(map(str, ns)),
         "--grid", str(draw(st.integers(min_value=64, max_value=128))),
-        "--tol", draw(st.sampled_from(["1e-8", "1e-300"])),
         "--probes", str(draw(st.integers(min_value=0, max_value=3))),
         "--ell-mult", str(draw(st.integers(min_value=0, max_value=20))),
         "--format", draw(st.sampled_from(["csv", "json"])),

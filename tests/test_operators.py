@@ -11,6 +11,7 @@ from gsops.catalog import get_function, polynomial_function
 from gsops.exactpoly import (
     PHI,
     RationalPoly,
+    _dtilde_bernstein,
     apply_Utilde_exact,
     dtilde_exact,
     u_coefficients_exact,
@@ -95,6 +96,19 @@ def test_dtilde_coefficient_map_rows_map_alone(n):
         assert np.array_equal(out[index], dtilde_coefficient_map(stack[index]))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 64])
+def test_dtilde_coefficient_map_is_the_exact_formula(n):
+    # on small integers every float step is exact, so the map and the exact
+    # engine's j(n-j)(c_{j-1} - 2c_j + c_{j+1}) agree bit for bit, alone and
+    # in a stack
+    stack = np.random.default_rng(n).integers(-1000, 1000, size=(2, 3, n + 1))
+    out = dtilde_coefficient_map(stack.astype(float))
+    for index in np.ndindex(stack.shape[:-1]):
+        exact = np.array(_dtilde_bernstein(stack[index].tolist()), dtype=float)
+        assert out[index].tobytes() == exact.tobytes()
+        assert dtilde_coefficient_map(stack[index].astype(float)).tobytes() == exact.tobytes()
+
+
 def test_dtilde_form_t2_example():
     p = bernstein_form_from_poly(T2, 2)
     d = dtilde_form(p)
@@ -139,7 +153,7 @@ def test_apply_U_t2_value():
 
 def test_apply_U_transcendental_matches_quadrature_route():
     exp = get_function("exp")
-    p = sweep_U(exp, 5, 1e-12)
+    p = sweep_U(exp, 5)
     assert p.eval(0.0) == 1.0 and p.eval(1.0) == pytest.approx(math.e, abs=0.0)
 
 
@@ -170,7 +184,7 @@ def test_apply_Utilde_matches_exact_oracle(name, n):
 def test_apply_Utilde_exp_jackson_scale():
     # sup distance to a dense reference stays below the Jackson bound
     exp = get_function("exp")
-    p = utilde_from_u(sweep_U(exp, 4, 1e-12))
+    p = utilde_from_u(sweep_U(exp, 4))
     dense = np.linspace(0.0, 1.0, 1_000_001)
     dist = float(np.max(np.abs(p.eval(dense) - np.exp(dense))))
     d2 = dtilde_of_function(exp, 2)
@@ -197,7 +211,7 @@ def test_contraction_toward_f(name, n):
 @pytest.mark.parametrize("n", [2, 9, 41, 100])
 def test_endpoint_interpolation(name, n):
     f = get_function(name)
-    pu = sweep_U(f, n, 1e-10)
+    pu = sweep_U(f, n)
     for p in (pu, utilde_from_u(pu)):
         assert abs(p.eval(0.0) - f.eval(0.0)) <= 1e-12
         assert abs(p.eval(1.0) - f.eval(1.0)) <= 1e-12

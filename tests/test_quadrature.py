@@ -13,6 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import gsops.quadrature
 from gsops.basis import bernstein_matrix
 from gsops.catalog import TAYLOR_TERMS, FunctionSpec, get_function, polynomial_function
 from gsops.errors import ToleranceError
@@ -176,7 +177,7 @@ def test_route_within_its_bound_of_mpmath(name, n):
     # 4.7e-17 for abs52);
     # the endpoints are f(0) and f(1) as f.eval gives them
     f = get_function(name)
-    u = u_coefficients_numeric(f, n, 1e-10)
+    u = u_coefficients_numeric(f, n)
     assert u.shape == (n + 1,)
     assert (u[0], u[-1]) == (f.eval(0.0), f.eval(1.0))
     if n == 1:
@@ -193,7 +194,7 @@ def test_truncated_series_is_caught():
     # exp cut after t^8 with no tail counted is off by about 2.8e-6, far
     # outside the stated bound of the 40-term route, so the oracle catches
     # it; counting the tail, the route's own bound does, and the coefficients
-    # are refused at the run's tolerance
+    # are refused at COEFFICIENT_TOL
     exp = get_function("exp")
     taylor = [1 / math.factorial(q) for q in range(9)]
     silent = entire_route(taylor, 0.0)
@@ -204,7 +205,7 @@ def test_truncated_series_is_caught():
     for n in (2, 8, 32):
         assert _route_error(honest.route, "exp", n) <= honest.route(n)[1]
         with pytest.raises(ToleranceError):
-            u_coefficients_numeric(honest, n, 1e-10)
+            u_coefficients_numeric(honest, n)
     assert TAYLOR_TERMS == 40
 
 
@@ -248,39 +249,40 @@ def test_integrate_rejects_nonfinite():
         route=lambda n: (np.full(n - 1, np.inf), 0.0),
     )
     with pytest.raises(ToleranceError) as raised:
-        u_coefficients_numeric(pole, 6, 1e-10)
-    assert raised.value.achieved == math.inf
+        u_coefficients_numeric(pole, 6)
     assert str(raised.value).startswith("u_{6,k}(pole) is certified to inf")
 
 
 def test_a_function_without_a_route_is_refused():
     bare = FunctionSpec("bare", get_function("exp").derivative_fn, None, get_function("exp").smoothness)
     with pytest.raises(ValueError, match="'bare' has no coefficient route"):
-        u_coefficients_numeric(bare, 4, 1e-10)
+        u_coefficients_numeric(bare, 4)
 
 
-def test_u_numeric_examples():
+def test_u_numeric_examples(monkeypatch):
+    monkeypatch.setattr(gsops.quadrature, "COEFFICIENT_TOL", 1e-12)
     t2 = _with_route(get_function("t2"))
-    got = u_coefficients_numeric(t2, 2, 1e-12)
+    got = u_coefficients_numeric(t2, 2)
     assert got == pytest.approx([0.0, 1 / 3, 1.0], abs=1e-12)
 
     one = _with_route(get_function("one"))
-    assert u_coefficients_numeric(one, 7, 1e-12) == pytest.approx(np.ones(8), abs=1e-14)
+    assert u_coefficients_numeric(one, 7) == pytest.approx(np.ones(8), abs=1e-14)
 
     exp = get_function("exp")
-    got = u_coefficients_numeric(exp, 3, 1e-12)
+    got = u_coefficients_numeric(exp, 3)
     # k=1 coefficient: 2 * integral of 2(1-t)(...)  -> (n-1) int P_{1,0} e^t = 2(e-2)
     assert got[1] == pytest.approx(2.0 * (math.e - 2.0), abs=1e-12)
     assert got[0] == 1.0 and got[3] == pytest.approx(math.e, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 21, 40])
-def test_u_numeric_matches_exact_for_polynomials(n):
+def test_u_numeric_matches_exact_for_polynomials(n, monkeypatch):
     # the route of a finite Taylor series against the exact engine's sum
+    monkeypatch.setattr(gsops.quadrature, "COEFFICIENT_TOL", 1e-12)
     f = _with_route(polynomial_function("p8", [1, "-1/2", 0, 2, 0, 0, "1/3", 0, "-2/7"]))
     nums, den = u_coefficients_exact(f.poly, n)
     exact = [c / den for c in nums]
-    got = u_coefficients_numeric(f, n, 1e-12)
+    got = u_coefficients_numeric(f, n)
     assert got == pytest.approx(exact, abs=1e-14)
     if n > 1:
         assert np.max(np.abs(got - exact)) <= f.route(n)[1]
@@ -292,26 +294,24 @@ def test_u_numeric_positivity(name):
     if f.poly is not None:
         f = _with_route(f)
     for n in (2, 5, 12):
-        u = u_coefficients_numeric(f, n, 1e-10)
+        u = u_coefficients_numeric(f, n)
         assert np.all(u >= -1e-14)
 
 
-def test_u_numeric_n1_endpoints_only():
+def test_u_numeric_n1_endpoints_only(monkeypatch):
     exp = get_function("exp")
-    assert u_coefficients_numeric(exp, 1, 1e-10) == pytest.approx([1.0, math.e], abs=0.0)
+    assert u_coefficients_numeric(exp, 1) == pytest.approx([1.0, math.e], abs=0.0)
     # there is no interior coefficient to certify, so even tol 0 is met
-    assert u_coefficients_numeric(exp, 1, 0.0).tolist() == [1.0, math.e]
+    monkeypatch.setattr(gsops.quadrature, "COEFFICIENT_TOL", 0.0)
+    assert u_coefficients_numeric(exp, 1).tolist() == [1.0, math.e]
 
 
-def test_tolerance_error_carries_best_estimate():
+def test_tolerance_error_states_the_routes_bound(monkeypatch):
     exp = get_function("exp")
+    monkeypatch.setattr(gsops.quadrature, "COEFFICIENT_TOL", 0.0)
     with pytest.raises(ToleranceError) as raised:
-        u_coefficients_numeric(exp, 4, 0.0)
-    err = raised.value
-    assert err.best is not None and len(err.best) == 5
-    assert err.best.tobytes() == u_coefficients_numeric(exp, 4, 1e-12).tobytes()
-    assert err.achieved == exp.route(4)[1]
-    assert str(err) == f"u_{{4,k}}(exp) is certified to {err.achieved:.3e}, not to tol=0"
+        u_coefficients_numeric(exp, 4)
+    assert str(raised.value) == f"u_{{4,k}}(exp) is certified to {exp.route(4)[1]:.3e}, not to tol=0"
 
 
 # -- a Sweep of several functions ---------------------------------------------------
@@ -329,13 +329,13 @@ def test_failing_sibling_raises_only_from_its_own_call():
 
     exp, coarse = get_function("exp"), _coarse()
     with pytest.raises(ToleranceError) as lone:
-        u_coefficients_numeric(coarse, 6, 1e-10)
-    sweep = Sweep(DEFAULT_GRID, 1e-10)
+        u_coefficients_numeric(coarse, 6)
+    sweep = Sweep(DEFAULT_GRID)
     with pytest.raises(ToleranceError) as raised:
         sweep.U(coarse, 6)
     assert str(raised.value) == str(lone.value)
     assert not any(key[1] is coarse for key in sweep._values)
-    assert sweep.U(exp, 6).coeffs.tobytes() == u_coefficients_numeric(exp, 6, 1e-10).tobytes()
+    assert sweep.U(exp, 6).coeffs.tobytes() == u_coefficients_numeric(exp, 6).tobytes()
     assert list(sweep._values) == [("U", exp, 6)]
 
 
@@ -343,8 +343,8 @@ def test_failing_sibling_in_a_sweep_raises_only_from_its_own_check():
     from gsops.analysis import DEFAULT_GRID, Sweep, check_direct
 
     exp, coarse = get_function("exp"), _coarse()
-    sweep = Sweep(DEFAULT_GRID, 1e-10)
+    sweep = Sweep(DEFAULT_GRID)
     with pytest.raises(ToleranceError, match=r"^u_\{2,k\}\(coarse\) is certified to"):
         check_direct(coarse, 2, sweep)
     assert not any(key[1] is coarse for key in sweep._values)
-    assert check_direct(exp, 2, sweep) == check_direct(exp, 2, Sweep(DEFAULT_GRID, 1e-10))
+    assert check_direct(exp, 2, sweep) == check_direct(exp, 2, Sweep(DEFAULT_GRID))

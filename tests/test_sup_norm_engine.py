@@ -635,7 +635,7 @@ def assert_bound_below(fn, grid_size=DEFAULT_GRID):
 
 @pytest.fixture(scope="module")
 def catalog_sweep():
-    return Sweep(DEFAULT_GRID, 1e-10)
+    return Sweep(DEFAULT_GRID)
 
 
 @pytest.mark.parametrize("name", catalog_names())
