@@ -3,7 +3,10 @@
 Implements the uniform-norm estimator (Chebyshev-distributed grid plus
 golden-section refinement; the grid max of a Bernstein form or residual is
 screened with a closed-form basis under an a-priori error bound and
-confirmed by de Casteljau), the Lebesgue-function bound for the modified
+confirmed by de Casteljau; the walks of the forms of one degree run in
+lockstep, so each of their stages is one de Casteljau pass over a stack of
+forms, each at its own points, with every value bit for bit that of the walk
+alone), the Lebesgue-function bound for the modified
 operator's norm, the float identities of the basis layer (partition of
 unity, moments, eigen relation, Phi(alpha), tail sums), endpoint
 interpolation, the Jackson / Voronovskaya / Bernstein-type inequality
@@ -16,7 +19,9 @@ Every report the CLI prints is built here, except the exact identity rows of
 ``verify``, which the CLI builds from the exactpoly checks.
 
 Each check of a function takes its operator outputs and norms from a Sweep,
-which a run builds once and hands to every check.  One Sweep serves one
+which a run builds once and hands to every check; a command fills the Sweep
+with the sup norms its checks will take (the fill_* functions), one lockstep
+call per degree, before the checks run.  One Sweep serves one
 thread; the cached screening bases of sup_norm are shared under a lock, so
 threads with a Sweep each can produce reports concurrently, and merged by key
 they hold the same values.
@@ -27,9 +32,9 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,6 +76,7 @@ __all__ = [
     "StrictReport",
     "Residual",
     "sup_norm",
+    "sup_norms",
     "distance",
     "Sweep",
     "lebesgue_bound",
@@ -88,6 +94,10 @@ __all__ = [
     "check_direct",
     "check_converse",
     "rate_errors",
+    "fill_operator_errors",
+    "fill_bernstein_inequality",
+    "fill_voronovskaya",
+    "fill_rate_errors",
     "loglog_slope",
 ]
 
@@ -236,13 +246,16 @@ class Residual:
     itself.  Calling it evaluates p by de Casteljau, in this operation order,
     so its values are those of the equivalent lambda.  sup_norm screens the
     grid of a Residual with the cached closed-form basis first, and only the
-    candidates it leaves are evaluated by calling it.
+    candidates it leaves are evaluated by calling it.  ``screens`` keeps, by
+    grid size, the screen _screened_lower_bound took, which sup_norm then
+    reads instead of screening again.
     """
 
     p: BernsteinForm
     f: Callable | None = None
     g: Callable | None = None
     scale: float = 0.0
+    screens: dict[int, "_Screen"] = field(default_factory=dict, init=False, repr=False)
 
     def __call__(self, xs):
         out = self.p.eval(xs)
@@ -256,71 +269,86 @@ class Residual:
 _NON_FINITE = "non-finite value while estimating a sup norm"
 
 
-def _abs_values(fn, xs: np.ndarray, finite: bool = True) -> np.ndarray:
-    """|fn| at xs; raises on a non-finite value unless ``finite`` is False."""
-    vals = np.abs(np.asarray(fn(xs), dtype=float))
-    if finite and not np.all(np.isfinite(vals)):
-        raise ValueError(_NON_FINITE)
-    return vals
+def _abs_values(fn, xs: np.ndarray) -> np.ndarray:
+    """|fn| at xs, as floats; the walks check finiteness where they read."""
+    return np.abs(np.asarray(fn(xs), dtype=float))
 
 
-def _screen(fn: Residual, xs: np.ndarray, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Screened values s_i of |fn| on the grid and widths delta_i >= |s_i - d_i|.
+class _Screen(NamedTuple):
+    """What the screen of a Residual leaves on the grid.
 
-    d_i is the value a full de Casteljau pass gives at point i.  The
-    polynomial part is screened as a matvec with the cached closed-form
-    basis, whose row i errs from B(n, grid) by at most r(x_i) per entry,
-    relatively, plus 2^-1022 (basis.closed_form_error).  The matvec then errs
-    from the exact values by at most max|c_k| (r(x_i) + (n+1) 2^-1022) plus
-    its own rounding, and de Casteljau by at most about 2n u sum|c_k|
-    P_{n,k}; delta_i = 8(n+1) eps max|c_k| + max|c_k| (r(x_i) + (n+1)
-    2^-1022), plus the rounding of the additions of -f and scale * g, bounds
-    the gap.  f and g are pointwise, so they take the full pass's values.
-    Either array may hold non-finite entries.
+    ``candidates`` are the indices with s_i + delta_i >= max_j (s_j - delta_j),
+    which include each point where a full de Casteljau pass attains its max,
+    or the whole grid if the screen is not finite.  ``lower`` is
+    max_i (s_i - delta_i), rounded down, or 0 if the screen is not finite: at
+    most the sup_norm value, which is at least every full-pass value
+    d_i >= s_i - delta_i.
     """
-    p = fn.p
-    terms = [] if fn.f is None else [-fn.f(xs)]
-    if fn.g is not None:
-        terms.append(fn.scale * fn.g(xs))
+
+    candidates: np.ndarray
+    lower: float
+
+
+def _screens(fns: list[Residual], grid_size: int) -> list[_Screen | Exception]:
+    """The screens of Residuals of one degree n, against the cached basis.
+
+    Screened values s_i of |fn| on the grid and widths delta_i >= |s_i - d_i|,
+    where d_i is the value a full de Casteljau pass gives at point i.  The
+    polynomial part is screened against the cached closed-form basis, whose
+    row i errs from B(n, grid) by at most r(x_i) per entry, relatively, plus
+    2^-1022 (basis.closed_form_error).  The product then errs from the exact
+    values by at most max|c_k| (r(x_i) + (n+1) 2^-1022) plus its own
+    rounding, in any summation order, and de Casteljau by at most about
+    2n u sum|c_k| P_{n,k}; delta_i = 8(n+1) eps max|c_k| + max|c_k| (r(x_i) +
+    (n+1) 2^-1022), plus the rounding of the additions of -f and scale * g,
+    bounds the gap.  f and g are pointwise, so they take the full pass's
+    values; an exception they raise is that Residual's entry.
+    """
+    if not fns:
+        return []
+    xs = _chebyshev_grid(grid_size)
+    n = fns[0].p.n
+    basis = _GRID_BASES.get(n, grid_size)
     with np.errstate(all="ignore"):
-        screened = _GRID_BASES.get(p.n, grid_size) @ p.coeffs
-        c_max = float(np.max(np.abs(p.coeffs)))
-        delta = c_max * (8.0 * (p.n + 1) * _EPS + (p.n + 1) * _TINY + closed_form_error(p.n, xs))
-        for term in terms:
-            delta += 4.0 * _EPS * (float(np.max(np.abs(screened))) + float(np.max(np.abs(term))))
-            screened = screened + term
-        return np.abs(screened), delta
-
-
-def _screened_grid_max(fn: Residual, xs: np.ndarray, grid_size: int) -> tuple[int, float]:
-    """Index and value of max |fn| on the grid, as a full de Casteljau pass gives them.
-
-    fn is called at every point with s_i + delta_i >= max_j (s_j - delta_j),
-    which includes each point where the full pass attains its max; a
-    non-finite screen falls back to the full pass, which raises as before.
-    """
-    screened, delta = _screen(fn, xs, grid_size)
-    if not (np.all(np.isfinite(screened)) and np.all(np.isfinite(delta))):
-        vals = _abs_values(fn, xs)
-        i = int(np.argmax(vals))
-        return i, float(vals[i])
-
-    candidates = np.flatnonzero(screened + delta >= np.max(screened - delta))
-    vals = _abs_values(fn, xs[candidates])
-    j = int(np.argmax(vals))
-    return int(candidates[j]), float(vals[j])
+        width = 8.0 * (n + 1) * _EPS + (n + 1) * _TINY + closed_form_error(n, xs)
+    out: list[_Screen | Exception] = []
+    # a form at a time, each with its own terms: a matmul over all the forms runs
+    # the threaded BLAS gemm, whose buffers cost 4.5 MB of peak RSS on table
+    for fn in fns:
+        try:
+            terms = [] if fn.f is None else [-fn.f(xs)]
+            if fn.g is not None:
+                terms.append(fn.scale * fn.g(xs))
+        except Exception as exc:
+            out.append(exc)
+            continue
+        with np.errstate(all="ignore"):
+            screened = basis @ fn.p.coeffs
+            delta = float(np.max(np.abs(fn.p.coeffs))) * width
+            for term in terms:
+                delta += 4.0 * _EPS * (float(np.max(np.abs(screened))) + float(np.max(np.abs(term))))
+                screened = screened + term
+            screened = np.abs(screened)
+            if not (np.all(np.isfinite(screened)) and np.all(np.isfinite(delta))):
+                out.append(_Screen(np.arange(xs.size), 0.0))
+                continue
+            candidates = np.flatnonzero(screened + delta >= np.max(screened - delta))
+            lower = max(0.0, float(np.max(np.nextafter(screened - delta, -np.inf))))
+            out.append(_Screen(candidates, lower))
+    return out
 
 
 def _screened_lower_bound(fn: Residual, grid_size: int) -> float:
-    """max_i (s_i - delta_i) of the screen, rounded down, or 0 if the screen is not finite.
+    """The screen's lower bound of sup_norm(fn, grid_size).value; costs a matvec and no de Casteljau.
 
-    At most sup_norm(fn, grid_size).value, which is at least every full-pass
-    value d_i >= s_i - delta_i; costs a matvec and no de Casteljau.
+    The screen is kept in ``fn.screens``; raises what fn's f or g raises.
     """
-    screened, delta = _screen(fn, _chebyshev_grid(grid_size), grid_size)
-    if not (np.all(np.isfinite(screened)) and np.all(np.isfinite(delta))):
-        return 0.0
-    return max(0.0, float(np.max(np.nextafter(screened - delta, -np.inf))))
+    if grid_size not in fn.screens:
+        (screen,) = _screens([fn], grid_size)
+        if isinstance(screen, Exception):
+            raise screen
+        fn.screens[grid_size] = screen
+    return fn.screens[grid_size].lower
 
 
 def _probe_points(a: float, b: float, c: float, d: float, left: bool, depth: int) -> list[float]:
@@ -348,46 +376,34 @@ def _probed(values: dict[float, float], x: float) -> float:
     return v
 
 
-def sup_norm(fn: BernsteinForm | Residual | Callable, grid_size: int = DEFAULT_GRID) -> SupNormEstimate:
-    """Estimate ||fn||_inf on [0,1] from below.
+def _checked(vals: np.ndarray | Exception, every: bool = True) -> np.ndarray:
+    """A walk's values, or raises the exception its terms raised, or, if
+    ``every``, one for a non-finite value."""
+    if isinstance(vals, Exception):
+        raise vals
+    if every and not np.all(np.isfinite(vals)):
+        raise ValueError(_NON_FINITE)
+    return vals
 
-    Takes the max of |fn| over a Chebyshev-distributed grid (denser near the
-    endpoints, where the weight degenerates) plus both endpoints, then runs a
-    fixed number of golden-section iterations around the best point.
-    Deterministic for a fixed grid size; refinement can only increase the
-    value.  A BernsteinForm p is taken as Residual(p).  For a Residual the
-    grid max is found by screening with a cached closed-form basis, widened
-    at each point by an a-priori bound on its error, and confirming the
-    candidates by de Casteljau, which gives the same point and value, bit for
-    bit, as a de Casteljau pass over the whole grid.
 
-    The iterations run in blocks of LOOKAHEAD_DEPTH: every point a block can
-    probe is evaluated in one call, and the sequential walk then reads its
-    values.  Evaluation is pointwise, so the result is bit for bit that of
-    one-point probes; a non-finite value raises only if the walk reads it.
-    """
-    if grid_size < 64:
-        raise ValueError("grid_size must be >= 64")
-    xs = _chebyshev_grid(grid_size)
-    if isinstance(fn, BernsteinForm):
-        fn = Residual(fn)
-    if isinstance(fn, Residual):
-        i, best_v = _screened_grid_max(fn, xs, grid_size)
-    else:
-        vals = _abs_values(fn, xs)
-        i = int(np.argmax(vals))
-        best_v = float(vals[i])
-    best_x = float(xs[i])
+class _Walk:
+    """One golden-section walk around a grid max: the bracket [a, b], its probes
+    c and d with values fc and fd, and the best point so far."""
 
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, xs.size - 1)])
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = _abs_values(fn, np.array([c, d])).tolist()
-    for start in range(0, GOLDEN_ITERATIONS, LOOKAHEAD_DEPTH):
-        depth = min(LOOKAHEAD_DEPTH, GOLDEN_ITERATIONS - start)
-        points = _probe_points(a, b, c, d, fc > fd, depth)
-        values = dict(zip(points, _abs_values(fn, np.array(points), finite=False).tolist()))
+    def __init__(self, xs: np.ndarray, i: int, value: float) -> None:
+        self.best_x, self.best_v = float(xs[i]), value
+        self.a = float(xs[max(i - 1, 0)])
+        self.b = float(xs[min(i + 1, xs.size - 1)])
+        self.c = self.b - _INVPHI * (self.b - self.a)
+        self.d = self.a + _INVPHI * (self.b - self.a)
+
+    def block(self, depth: int) -> list[float]:
+        return _probe_points(self.a, self.b, self.c, self.d, self.fc > self.fd, depth)
+
+    def replay(self, points: list[float], vals: np.ndarray, depth: int) -> None:
+        """``depth`` iterations of the sequential walk, reading the block's values."""
+        values = dict(zip(points, vals.tolist()))
+        a, b, c, d, fc, fd = self.a, self.b, self.c, self.d, self.fc, self.fd
         for _ in range(depth):
             if fc > fd:
                 b, d, fd = d, c, fc
@@ -397,10 +413,160 @@ def sup_norm(fn: BernsteinForm | Residual | Callable, grid_size: int = DEFAULT_G
                 a, c, fc = c, d, fd
                 d = a + _INVPHI * (b - a)
                 fd = _probed(values, d)
-    for x, v in ((c, fc), (d, fd)):
-        if v > best_v:
-            best_x, best_v = x, v
-    return SupNormEstimate(value=best_v, argmax=best_x)
+        self.a, self.b, self.c, self.d, self.fc, self.fd = a, b, c, d, fc, fd
+
+    def estimate(self) -> SupNormEstimate:
+        best_x, best_v = self.best_x, self.best_v
+        for x, v in ((self.c, self.fc), (self.d, self.fd)):
+            if v > best_v:
+                best_x, best_v = x, v
+        return SupNormEstimate(value=best_v, argmax=best_x)
+
+
+def _read(
+    fns: list, stack: BernsteinForm | None, points: dict[int, np.ndarray]
+) -> dict[int, np.ndarray | Exception]:
+    """|fns[j]| at points[j] for each j in points, in one evaluation call.
+
+    fns are Residuals of one degree, evaluated by ``stack``, the stack of
+    their forms (None for one Residual), or one bare callable.  A Residual's
+    f and scale * g are added per walk, in the order of Residual.__call__, so
+    each value has the bits of that call.  An exception raised by a walk's
+    own terms is its entry; values may be non-finite.
+    """
+    walks = list(points)
+    sizes = [points[j].size for j in walks]
+    spans, end = {}, 0
+    for j, size in zip(walks, sizes):
+        spans[j], end = slice(end, end + size), end + size
+    errors: dict[int, Exception] = {}
+
+    def values(pts: np.ndarray) -> np.ndarray:
+        fn = fns[walks[0]]
+        if not isinstance(fn, Residual):
+            try:
+                return fn(pts)
+            except Exception as exc:
+                errors[walks[0]] = exc
+                return np.full(pts.size, np.nan)
+        out = fn.p.eval(pts) if stack is None else stack.eval(pts, rows=np.repeat(walks, sizes))
+        for j in walks:
+            fn, span = fns[j], spans[j]
+            try:
+                if fn.f is not None:
+                    out[span] = out[span] - fn.f(pts[span])
+                if fn.g is not None:
+                    out[span] = out[span] + fn.scale * fn.g(pts[span])
+            except Exception as exc:
+                errors[j] = exc
+        return out
+
+    vals = _abs_values(values, points[walks[0]] if len(walks) == 1 else np.concatenate(list(points.values())))
+    return {j: errors.get(j, vals[spans[j]]) for j in walks}
+
+
+def _lockstep(fns: list, grid_size: int) -> list[SupNormEstimate | Exception]:
+    """sup_norms of Residuals of one degree, or of one bare callable: each
+    stage of their walks is one _read."""
+    xs = _chebyshev_grid(grid_size)
+    residuals = isinstance(fns[0], Residual)
+    stack = None
+    if residuals and len(fns) > 1:
+        stack = BernsteinForm(fns[0].p.n, np.stack([fn.p.coeffs for fn in fns]))
+    results: list = [None] * len(fns)
+    walks: dict[int, _Walk] = {}
+
+    def each(points: dict[int, np.ndarray], step) -> None:
+        """Read every walk at its points, then step(j, its values); an exception ends walk j."""
+        for j, v in (_read(fns, stack, points) if points else {}).items():
+            try:
+                step(j, v)
+            except Exception as exc:
+                results[j] = exc
+                walks.pop(j, None)
+
+    screens = [fn.screens.get(grid_size) if residuals else None for fn in fns]
+    missing = [j for j, screen in enumerate(screens) if residuals and screen is None]
+    for j, screen in zip(missing, _screens([fns[j] for j in missing], grid_size)):
+        screens[j] = screen
+    candidates = {}
+    for j, screen in enumerate(screens):
+        if isinstance(screen, Exception):
+            results[j] = screen
+        else:  # a bare callable takes the whole grid
+            candidates[j] = np.arange(xs.size) if screen is None else screen.candidates
+
+    def grid_max(j: int, v) -> None:
+        k = int(np.argmax(_checked(v)))
+        walks[j] = _Walk(xs, int(candidates[j][k]), float(v[k]))
+
+    def first_pair(j: int, v) -> None:
+        walks[j].fc, walks[j].fd = _checked(v).tolist()
+
+    each({j: xs[c] for j, c in candidates.items()}, grid_max)
+    each({j: np.array([w.c, w.d]) for j, w in walks.items()}, first_pair)
+    for start in range(0, GOLDEN_ITERATIONS, LOOKAHEAD_DEPTH):
+        depth = min(LOOKAHEAD_DEPTH, GOLDEN_ITERATIONS - start)
+        blocks = {j: w.block(depth) for j, w in walks.items()}
+        each(
+            {j: np.array(points) for j, points in blocks.items()},
+            lambda j, v: walks[j].replay(blocks[j], _checked(v, every=False), depth),
+        )
+    for j, w in walks.items():
+        results[j] = w.estimate()
+    return results
+
+
+def sup_norms(
+    fns: Sequence[BernsteinForm | Residual | Callable], grid_size: int = DEFAULT_GRID
+) -> list[SupNormEstimate | Exception]:
+    """Estimate ||fn||_inf on [0,1] from below, for every fn at once.
+
+    Each estimate takes the max of |fn| over a Chebyshev-distributed grid
+    (denser near the endpoints, where the weight degenerates) plus both
+    endpoints, then runs a fixed number of golden-section iterations around
+    the best point.  Deterministic for a fixed grid size; refinement can only
+    increase the value.  A BernsteinForm p is taken as Residual(p).  For a
+    Residual the grid max is found by screening with a cached closed-form
+    basis, widened at each point by an a-priori bound on its error, and
+    confirming the candidates by de Casteljau, which gives the same point and
+    value, bit for bit, as a de Casteljau pass over the whole grid.
+
+    The iterations run in blocks of LOOKAHEAD_DEPTH: every point a block can
+    probe is evaluated in one call, and the sequential walk then reads its
+    values.  The walks of the Residuals of one degree run in lockstep: they
+    share one screening pass (closed_form_error once per degree), and their
+    confirmations, their first probe pairs and each of their blocks are one
+    BernsteinForm.eval call on the stack of their forms, each form at its own
+    points.  Evaluation is pointwise, so
+    every result is bit for bit that of the walk alone with one-point probes.
+
+    Returns, for each fn, its SupNormEstimate or the exception its walk
+    raised: a walk fails alone when it reads a non-finite value (one it does
+    not read is ignored) or when its own terms raise.  A Residual whose
+    screen is already kept in its ``screens`` is not screened again.
+    """
+    if grid_size < 64:
+        raise ValueError("grid_size must be >= 64")
+    fns = [Residual(fn) if isinstance(fn, BernsteinForm) else fn for fn in fns]
+    groups: dict[object, list[int]] = {}
+    for i, fn in enumerate(fns):
+        groups.setdefault(fn.p.n if isinstance(fn, Residual) else ("callable", i), []).append(i)
+    results: list = [None] * len(fns)
+    for members in groups.values():
+        estimates = _lockstep([fns[i] for i in members], grid_size)
+        for i, estimate in zip(members, estimates):
+            results[i] = estimate
+    return results
+
+
+def sup_norm(fn: BernsteinForm | Residual | Callable, grid_size: int = DEFAULT_GRID) -> SupNormEstimate:
+    """Estimate ||fn||_inf on [0,1] from below: the one-walk case of sup_norms,
+    raising what its walk raises."""
+    (estimate,) = sup_norms([fn], grid_size)
+    if isinstance(estimate, Exception):
+        raise estimate
+    return estimate
 
 
 def distance(p: BernsteinForm, f: FunctionSpec, grid_size: int = DEFAULT_GRID) -> float:
@@ -419,6 +585,12 @@ class Sweep:
     raises stores nothing.  The sup norms are taken on the grid of
     ``grid_size`` points.
 
+    A sup norm is a request, a key and the function to take it of.  ``fill``
+    takes the norms of many requests at once, the walks of each degree in
+    lockstep (sup_norms), and stores each that succeeds; a command fills
+    before its checks run, and the checks find their values stored.  A walk
+    that fails stores nothing, so its check takes it again alone and raises.
+
     An operator error ||p - f|| is keyed by f and the bits of p's
     coefficients, not by the operator that built p: U_m f and Utilde_m f of a
     linear f, or Utilde_m^3 f and Utilde_m f of a constant, often hold the
@@ -434,6 +606,23 @@ class Sweep:
             self._values[key] = compute()
         return self._values[key]
 
+    def fill(self, requests) -> None:
+        """Take the sup norms of the (key, fn) requests not yet stored, in lockstep
+        (sup_norms), and store each that succeeds."""
+        pending: dict[tuple, object] = {}
+        for key, fn in requests:
+            if key not in self._values and key not in pending:
+                pending[key] = self._values.pop(("screened", key), fn)
+        for key, estimate in zip(pending, sup_norms(list(pending.values()), self.grid_size)):
+            if not isinstance(estimate, Exception):
+                self._values[key] = estimate.value
+
+    def _norm(self, key: tuple, fn) -> float:
+        """The sup norm of a request, of the Residual kept screened under its key if there is one."""
+        if key not in self._values:
+            self._values[key] = sup_norm(self._values.pop(("screened", key), fn), self.grid_size).value
+        return self._values[key]
+
     def U(self, f: FunctionSpec, m: int) -> BernsteinForm:
         if f.poly is None:
             coeffs = lambda: u_coefficients_numeric(f, m)
@@ -446,12 +635,12 @@ class Sweep:
     def Utilde(self, f: FunctionSpec, m: int) -> BernsteinForm:
         return self._memoized(("Utilde", f, m), lambda: utilde_from_u(self.U(f, m)))
 
-    def _distance_key(self, p: BernsteinForm, f: FunctionSpec) -> tuple:
-        return ("distance", f, p.coeffs.tobytes())
+    def distance_request(self, p: BernsteinForm, f: FunctionSpec) -> tuple[tuple, Residual]:
+        return ("distance", f, p.coeffs.tobytes()), Residual(p, f.eval)
 
     def distance(self, p: BernsteinForm, f: FunctionSpec) -> float:
         """||p - f||, taken once per f and distinct coefficient bits of p."""
-        return self._memoized(self._distance_key(p, f), lambda: distance(p, f, self.grid_size))
+        return self._norm(*self.distance_request(p, f))
 
     def error(self, f: FunctionSpec, m: int) -> float:
         """||Utilde_m f - f||."""
@@ -459,9 +648,22 @@ class Sweep:
 
     def dtilde_norm(self, f: FunctionSpec, ell: int) -> float:
         """||Dtilde^ell f|| via analytic derivatives; ||f|| at ell = 0."""
-        return self._memoized(
-            ("dtilde_norm", f, ell), lambda: sup_norm(dtilde_of_function(f, ell), self.grid_size).value
-        )
+        return self._norm(("dtilde_norm", f, ell), dtilde_of_function(f, ell))
+
+    def voronovskaya_request(self, f: FunctionSpec, n: int) -> tuple[tuple, Residual]:
+        residual = Residual(self.Utilde(f, n), f.eval, dtilde_of_function(f, 2), tail_sums(n).lam)
+        return ("voronovskaya", f, n), residual
+
+    def voronovskaya_residual(self, f: FunctionSpec, n: int) -> float:
+        """||Utilde_n f - f + lambda(n) Dtilde^2 f||."""
+        return self._norm(*self.voronovskaya_request(f, n))
+
+    def dtilde_utilde_request(self, f: FunctionSpec, n: int) -> tuple[tuple, Residual]:
+        return ("dtilde_utilde_norm", f, n), Residual(dtilde_form(self.Utilde(f, n)))
+
+    def dtilde_utilde_norm(self, f: FunctionSpec, n: int) -> float:
+        """||Dtilde Utilde_n f||."""
+        return self._norm(*self.dtilde_utilde_request(f, n))
 
     def Utilde3(self, f: FunctionSpec, m: int) -> BernsteinForm:
         """The K-functional candidate Utilde_m^3 f: the stored Utilde_m f, then
@@ -478,24 +680,23 @@ class Sweep:
         """Dtilde^2 Utilde_m^3 f, from the exact coefficient map."""
         return self._memoized(("D2Utilde3", f, m), lambda: dtilde_form(dtilde_form(self.Utilde3(f, m))))
 
+    def _iterate_d2_request(self, f: FunctionSpec, m: int) -> tuple[tuple, Residual]:
+        return ("iterate_d2_norm", f, m), Residual(self.D2Utilde3(f, m))
+
     def iterate_d2_norm(self, f: FunctionSpec, m: int) -> float:
         """||Dtilde^2 Utilde_m^3 f||."""
-        d2 = self.D2Utilde3(f, m)
-        return self._memoized(("iterate_d2_norm", f, m), lambda: sup_norm(d2, self.grid_size).value)
+        return self._norm(*self._iterate_d2_request(f, m))
 
     def iterate_lower_bounds(self, f: FunctionSpec, m: int) -> tuple[float, float]:
         """Lower bounds of (iterate_distance, iterate_d2_norm) that take no sup norm:
-        each norm once computed, by any route, else its _screened_lower_bound,
-        computed once."""
-        g, d2 = self.Utilde3(f, m), self.D2Utilde3(f, m)
-        bounds = {
-            "iterate_distance": (self._distance_key(g, f), Residual(g, f.eval)),
-            "iterate_d2_norm": (("iterate_d2_norm", f, m), Residual(d2)),
-        }
+        each norm once computed, by any route, else its _screened_lower_bound.
+        The screened Residual is kept until its norm is taken, so each is
+        screened once."""
+        requests = (self.distance_request(self.Utilde3(f, m), f), self._iterate_d2_request(f, m))
         return tuple(
             self._values[key] if key in self._values
-            else self._memoized(("lower", name, f, m), lambda: _screened_lower_bound(form, self.grid_size))
-            for name, (key, form) in bounds.items()
+            else _screened_lower_bound(self._memoized(("screened", key), lambda: fn), self.grid_size)
+            for key, fn in requests
         )
 
 
@@ -610,9 +811,24 @@ def check_interpolation(f: FunctionSpec, n: int, sweep: Sweep) -> list[Inequalit
     return reports
 
 
-def _require(flag: bool, f: FunctionSpec, requirement: str) -> None:
-    if not flag:
-        raise PreconditionError(f"{f.name}: requires {requirement}")
+#: The smoothness flags each check requires of f, with the wording of its skip note.
+_CONTRACTION_NEEDS = (("w2", "f in W^2(phi)"),)
+_JACKSON_NEEDS = (("w20", "f in W^2_0(phi)"), ("dtilde_w2", "Dtilde f in W^2(phi)"))
+_VORONOVSKAYA_NEEDS = (
+    ("w20", "f in W^2_0(phi)"),
+    ("dtilde_w20", "Dtilde f in W^2_0(phi)"),
+    ("d3_bounded", "Dtilde^3 f bounded"),
+)
+
+
+def _meets(f: FunctionSpec, needs) -> bool:
+    return all(getattr(f.smoothness, flag) for flag, _ in needs)
+
+
+def _require(f: FunctionSpec, needs) -> None:
+    for flag, requirement in needs:
+        if not getattr(f.smoothness, flag):
+            raise PreconditionError(f"{f.name}: requires {requirement}")
 
 
 def check_contraction_U(f: FunctionSpec, n: int, sweep: Sweep) -> InequalityReport:
@@ -622,7 +838,7 @@ def check_contraction_U(f: FunctionSpec, n: int, sweep: Sweep) -> InequalityRepo
     U_n f and Utilde_n f often hold the same bits, it is the sup norm that
     linear_reproduction takes.
     """
-    _require(f.smoothness.w2, f, "f in W^2(phi)")
+    _require(f, _CONTRACTION_NEEDS)
     lhs = sweep.distance(sweep.U(f, n), f)
     rhs = sweep.dtilde_norm(f, 1) / n
     return InequalityReport("contraction_U", f.name, n, lhs, rhs)
@@ -630,8 +846,7 @@ def check_contraction_U(f: FunctionSpec, n: int, sweep: Sweep) -> InequalityRepo
 
 def check_jackson(f: FunctionSpec, n: int, sweep: Sweep) -> InequalityReport:
     """Jackson-type bound ||Utilde_n f - f|| <= (1/n^2) ||Dtilde^2 f||."""
-    _require(f.smoothness.w20, f, "f in W^2_0(phi)")
-    _require(f.smoothness.dtilde_w2, f, "Dtilde f in W^2(phi)")
+    _require(f, _JACKSON_NEEDS)
     lhs = sweep.error(f, n)
     rhs = sweep.dtilde_norm(f, 2) / n**2
     return InequalityReport("jackson", f.name, n, lhs, rhs)
@@ -642,13 +857,9 @@ def check_voronovskaya(f: FunctionSpec, n: int, sweep: Sweep) -> InequalityRepor
 
     ||Utilde_n f - f + lambda(n) Dtilde^2 f|| <= theta(n) ||Dtilde^3 f||.
     """
-    _require(f.smoothness.w20, f, "f in W^2_0(phi)")
-    _require(f.smoothness.dtilde_w20, f, "Dtilde f in W^2_0(phi)")
-    _require(f.smoothness.d3_bounded, f, "Dtilde^3 f bounded")
-    ts = tail_sums(n)
-    residual = Residual(sweep.Utilde(f, n), f.eval, dtilde_of_function(f, 2), ts.lam)
-    lhs = sup_norm(residual, sweep.grid_size).value
-    rhs = ts.theta * sweep.dtilde_norm(f, 3)
+    _require(f, _VORONOVSKAYA_NEEDS)
+    lhs = sweep.voronovskaya_residual(f, n)
+    rhs = tail_sums(n).theta * sweep.dtilde_norm(f, 3)
     return InequalityReport("voronovskaya", f.name, n, lhs, rhs)
 
 
@@ -656,7 +867,7 @@ def check_bernstein_inequality(f: FunctionSpec, n: int, sweep: Sweep) -> Inequal
     """Bernstein-type bound ||Dtilde Utilde_n f|| <= (6.5 + sqrt 6) n ||f||."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    lhs = sup_norm(dtilde_form(sweep.Utilde(f, n)), sweep.grid_size).value
+    lhs = sweep.dtilde_utilde_norm(f, n)
     rhs = BERNSTEIN_CONSTANT * n * sweep.dtilde_norm(f, 0)
     return InequalityReport("bernstein", f.name, n, lhs, rhs)
 
@@ -790,7 +1001,7 @@ def kfunctional_sandwich(f: FunctionSpec, n: int, sweep: Sweep) -> KfSandwich:
     ms = (n, 2 * n, 4 * n, 8 * n)
     for m in ms:  # an uncertified route raises before f's own cost is taken, as without pruning
         sweep.Utilde3(f, m)
-    own_cost = t * sweep.dtilde_norm(f, 2) if f.smoothness.w20 and f.smoothness.dtilde_w2 else math.inf
+    own_cost = t * sweep.dtilde_norm(f, 2) if _meets(f, _JACKSON_NEEDS) else math.inf
     best_cost = math.inf
     best_id = ""
     for m in ms:
@@ -860,6 +1071,37 @@ def rate_errors(f: FunctionSpec, n: int, sweep: Sweep) -> tuple[float, float, fl
     gives both.
     """
     return sweep.distance(sweep.U(f, n), f), sweep.error(f, n), tail_sums(n).lam
+
+
+def fill_operator_errors(fs: Sequence[FunctionSpec], n: int, sweep: Sweep) -> None:
+    """Fill sweep with the operator errors verify's checks take at n, in lockstep:
+    ||U_n f - f|| of contraction_U, ||Utilde_n f - f|| of jackson and of
+    linear_reproduction, each for the f that meet the check's requirements."""
+    requests = []
+    for f in fs:
+        if _meets(f, _CONTRACTION_NEEDS):
+            requests.append(sweep.distance_request(sweep.U(f, n), f))
+        if _meets(f, _JACKSON_NEEDS) or (f.polynomial_degree is not None and f.polynomial_degree <= 1):
+            requests.append(sweep.distance_request(sweep.Utilde(f, n), f))
+    sweep.fill(requests)
+
+
+def fill_bernstein_inequality(fs: Sequence[FunctionSpec], n: int, sweep: Sweep) -> None:
+    """Fill sweep with the left sides ||Dtilde Utilde_n f|| of check_bernstein_inequality, in lockstep."""
+    sweep.fill(sweep.dtilde_utilde_request(f, n) for f in fs)
+
+
+def fill_voronovskaya(fs: Sequence[FunctionSpec], ns: Sequence[int], sweep: Sweep) -> None:
+    """Fill sweep with the residual norms of check_voronovskaya for every (f, n),
+    f outer, of the f that meet its requirements; each degree in lockstep."""
+    sweep.fill(sweep.voronovskaya_request(f, n) for f in fs if _meets(f, _VORONOVSKAYA_NEEDS) for n in ns)
+
+
+def fill_rate_errors(fs: Sequence[FunctionSpec], ns: Sequence[int], sweep: Sweep) -> None:
+    """Fill sweep with both errors of rate_errors for every (f, n), f outer; each degree in lockstep."""
+    sweep.fill(
+        sweep.distance_request(p, f) for f in fs for n in ns for p in (sweep.U(f, n), sweep.Utilde(f, n))
+    )
 
 
 def loglog_slope(name: str, rows: Sequence[tuple[int, float]]) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -108,12 +109,17 @@ class RationalPoly:
             acc = acc * x + c
         return acc
 
+    @cached_property
+    def _horner_floats(self) -> tuple[float, ...]:
+        """The coefficients as floats, highest power first, converted once."""
+        return tuple(float(c) for c in reversed(self.coeffs))
+
     def eval_float(self, x):
         """Vectorized float Horner evaluation (x scalar or ndarray)."""
         xs = np.asarray(x, dtype=float)
         acc = np.zeros_like(xs)
-        for c in reversed(self.coeffs):
-            acc = acc * xs + float(c)
+        for c in self._horner_floats:
+            acc = acc * xs + c
         return acc if acc.ndim else float(acc)
 
 
@@ -146,7 +152,7 @@ def bernstein_to_poly(coeffs: Sequence) -> RationalPoly:
 def _dtilde_bernstein(c: Sequence) -> list:
     """Dtilde on degree-n Bernstein coefficients: d_j = j(n-j) (c_{j-1} - 2c_j + c_{j+1})."""
     n = len(c) - 1
-    return [0, *(j * (n - j) * (c[j - 1] - 2 * c[j] + c[j + 1]) for j in range(1, n)), 0]
+    return [0, *(j * (n - j) * (c[j - 1] - 2 * c[j] + c[j + 1]) for j in range(1, n)), 0] if n else [0]
 
 
 def u_coefficients_exact(f: RationalPoly, n: int) -> tuple[list[int], int]:

@@ -51,62 +51,58 @@ class BernsteinForm:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (self.n + 1,):
+        if c.ndim not in (1, 2) or c.shape[-1] != self.n + 1:
             raise ValueError(f"need {self.n + 1} coefficients for degree {self.n}")
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
-    def eval(self, x):
+    def eval(self, x, rows=None):
         """De Casteljau evaluation at a scalar or an array of points.
+
+        coeffs may also be a (K, n+1) stack of K forms of one degree; then
+        ``rows`` gives, for each point of x, the row it is taken with, so one
+        call evaluates each form at its own points.  A single form is the
+        one-row case and takes no ``rows``.
 
         The points are taken in chunks of w = _eval_chunk(n).  A chunk runs
         level by level, in place, over flat arrays in which row k holds
-        coefficient k at each of its points, so a level is three contiguous
-        ufunc calls on prefixes of length level * w.  Every entry is still
-        (1 - t) b_k + t b_{k+1}, rounded as in the textbook recurrence.  Each
-        of the four work arrays holds at most basis.EVAL_WORKSPACE floats, for
-        any degree below it.
+        coefficient k of each point's form at that point, gathered per chunk,
+        so a level is three contiguous ufunc calls on prefixes of length
+        level * w.  Every entry is still (1 - t) b_k + t b_{k+1}, rounded as
+        in the textbook recurrence, so a point takes the same bits in a stack
+        as alone.  Each of the four work arrays holds at most
+        basis.EVAL_WORKSPACE floats, for any degree below it.
 
         A constant form, every coefficient the same bits, holds one value v per
         point at every level, each entry fl(fl((1 - t) v) + fl(t v)) of the
         level above.  n steps of that update over the points alone give the
-        triangle's bits at O(n) per point instead of O(n^2).  Constancy is read
-        from the bits, so a form mixing 0.0 and -0.0 takes the triangle.
+        triangle's bits at O(n) per point instead of O(n^2); in a stack, the
+        points of constant rows take it and the others the triangle.
+        Constancy is read from the bits, so a form mixing 0.0 and -0.0 takes
+        the triangle.
         """
         xs = np.asarray(x, dtype=float)
         pts = np.atleast_1d(xs).ravel()
-        n = self.n
-        bits = self.coeffs.view(np.int64)
-        if np.all(bits == bits[0]):
-            out = np.full(pts.size, self.coeffs[0])
-            S, prod = 1.0 - pts, np.empty(pts.size)
-            for _ in range(n):
-                np.multiply(pts, out, out=prod)
-                np.multiply(S, out, out=out)
-                np.add(out, prod, out=out)
-            return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
-        out = np.empty(pts.size)
-        width = max(1, min(_eval_chunk(n), pts.size))
-        b_buf = np.empty((n + 1) * width)
-        t_buf = np.empty(n * width)
-        s_buf = np.empty(n * width)
-        tmp = np.empty(n * width)
-        for start in range(0, pts.size, width):
-            t = pts[start : start + width]
-            w = t.size
-            b = b_buf[: (n + 1) * w]
-            T = t_buf[: n * w]
-            S = s_buf[: n * w]
-            b.reshape(n + 1, w)[:] = self.coeffs[:, None]
-            T.reshape(n, w)[:] = t
-            np.subtract(1.0, T, out=S)
-            for m in range(n * w, 0, -w):
-                head, prod = b[:m], tmp[:m]
-                np.multiply(T[:m], b[w : m + w], out=prod)
-                np.multiply(S[:m], head, out=head)
-                np.add(head, prod, out=head)
-            out[start : start + w] = b[:w]
+        c = self.coeffs
+        if rows is None:
+            if c.ndim != 1:
+                raise ValueError("a stack of forms needs the row of each point")
+            bits = c.view(np.int64)
+            out = _flat_levels(c[0], pts, self.n) if np.all(bits == bits[0]) else _triangle(c[None], pts, None, self.n)
+        else:
+            stack = c.reshape(-1, self.n + 1)
+            rows = np.asarray(rows, dtype=np.intp).ravel()
+            if rows.shape != pts.shape or np.any(rows < 0) or np.any(rows >= len(stack)):
+                raise ValueError("need one row of the stack per point")
+            bits = stack.view(np.int64)
+            on_flat = np.all(bits == bits[:, :1], axis=1)[rows]
+            out = np.empty(pts.size)
+            if on_flat.any():
+                out[on_flat] = _flat_levels(stack[rows[on_flat], 0], pts[on_flat], self.n)
+            if not on_flat.all():
+                on_triangle = ~on_flat
+                out[on_triangle] = _triangle(stack, pts[on_triangle], rows[on_triangle], self.n)
         return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
     def __sub__(self, other: "BernsteinForm") -> "BernsteinForm":
@@ -136,6 +132,47 @@ class BernsteinForm:
         if any(type(c) not in (int, float) or not abs(c) <= sys.float_info.max for c in coeffs):
             raise ValueError("the form has a non-finite coefficient or one that is not a number")
         return cls(n, np.array(coeffs, dtype=float))
+
+
+def _flat_levels(start, pts: np.ndarray, n: int) -> np.ndarray:
+    """n levels of v <- fl(fl((1 - t) v) + fl(t v)) from v = start (one value or one per point)."""
+    out = np.full(pts.size, start)
+    S, prod = 1.0 - pts, np.empty(pts.size)
+    for _ in range(n):
+        np.multiply(pts, out, out=prod)
+        np.multiply(S, out, out=out)
+        np.add(out, prod, out=out)
+    return out
+
+
+def _triangle(stack: np.ndarray, pts: np.ndarray, rows, n: int) -> np.ndarray:
+    """The de Casteljau triangle of row rows[i] of stack (row 0 if rows is None) at pts[i]."""
+    out = np.empty(pts.size)
+    width = max(1, min(_eval_chunk(n), pts.size))
+    b_buf = np.empty((n + 1) * width)
+    t_buf = np.empty(n * width)
+    s_buf = np.empty(n * width)
+    tmp = np.empty(n * width)
+    columns = stack.T
+    for start in range(0, pts.size, width):
+        t = pts[start : start + width]
+        w = t.size
+        b = b_buf[: (n + 1) * w]
+        T = t_buf[: n * w]
+        S = s_buf[: n * w]
+        if rows is None:
+            b.reshape(n + 1, w)[:] = columns
+        else:
+            np.take(columns, rows[start : start + w], axis=1, out=b.reshape(n + 1, w), mode="clip")
+        T.reshape(n, w)[:] = t
+        np.subtract(1.0, T, out=S)
+        for m in range(n * w, 0, -w):
+            head, prod = b[:m], tmp[:m]
+            np.multiply(T[:m], b[w : m + w], out=prod)
+            np.multiply(S[:m], head, out=head)
+            np.add(head, prod, out=head)
+        out[start : start + w] = b[:w]
+    return out
 
 
 def dtilde_coefficient_map(coeffs: np.ndarray) -> np.ndarray:

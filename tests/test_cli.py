@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import gsops.basis
 import gsops.catalog
 import gsops.cli
+import gsops.operators
 import gsops.quadrature
 from gsops.analysis import _eigen_relation_dev
 from gsops.basis import bernstein_matrix, t_matrix
@@ -831,7 +832,7 @@ def test_sandwich_sweep_takes_each_norm_once(tmp_path, monkeypatch, command, mos
     import gsops.analysis
 
     calls, quadrature_calls, evaluated = [], [], set()
-    plain = gsops.analysis.sup_norm
+    plain = gsops.analysis.sup_norms
     plain_derivative = gsops.catalog.FunctionSpec.derivative
 
     def recording(self, order, x):
@@ -840,12 +841,11 @@ def test_sandwich_sweep_takes_each_norm_once(tmp_path, monkeypatch, command, mos
 
     monkeypatch.setattr(gsops.catalog.FunctionSpec, "derivative", recording)
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return plain(*args, **kwargs)
+    def counting(fns, *args, **kwargs):  # every walk, one at a time or in lockstep
+        calls.extend(fns)
+        return plain(fns, *args, **kwargs)
 
-    monkeypatch.setattr(gsops.analysis, "sup_norm", counting)
-    monkeypatch.setattr(gsops.cli, "sup_norm", counting, raising=False)
+    monkeypatch.setattr(gsops.analysis, "sup_norms", counting)
     plain_quadrature = gsops.analysis.u_coefficients_numeric
 
     def counting_quadrature(*args, **kwargs):
@@ -872,16 +872,42 @@ def test_linear_functions_take_one_distance_per_n(tmp_path, monkeypatch, command
     import gsops.analysis
 
     calls = []
-    plain = gsops.analysis.sup_norm
+    plain = gsops.analysis.sup_norms
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return plain(*args, **kwargs)
+    def counting(fns, *args, **kwargs):  # every walk, one at a time or in lockstep
+        calls.extend(fns)
+        return plain(fns, *args, **kwargs)
 
-    monkeypatch.setattr(gsops.analysis, "sup_norm", counting)
+    monkeypatch.setattr(gsops.analysis, "sup_norms", counting)
     argv = [command, "--fns", "one,t", "--n", "2:2:5", "--seed", "1"]
     assert main([*argv, "--out", str(tmp_path / "out.csv")]) == EXIT_OK
     assert 0 < len(calls) <= most
+
+
+#: BernsteinForm.eval points of the rates commands at --n 16:2:5 --seed 1 when
+#: each sup norm walked alone: 1,050 and 525 calls of 210 and 105 per degree.
+_RATES_EVAL_POINTS = {"table": 33046, "voronovskaya": 26551}
+
+
+@pytest.mark.parametrize("command", sorted(_RATES_EVAL_POINTS))
+def test_rates_commands_walk_each_degree_in_lockstep(tmp_path, monkeypatch, command):
+    # timing-free: the sup norms of one degree share their evaluation calls
+    # (a confirmation, a first pair and 13 lookahead blocks), and together
+    # they evaluate no more points than the walks taken one at a time
+    calls, points = {}, []
+    plain = gsops.operators.BernsteinForm.eval
+
+    def counting(self, x, *args, **kwargs):
+        calls[self.n] = calls.get(self.n, 0) + 1
+        points.append(np.asarray(x).size)
+        return plain(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(gsops.operators.BernsteinForm, "eval", counting)
+    argv = [command, "--n", "16:2:5", "--seed", "1", "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == EXIT_OK
+    assert sorted(calls) == [16, 32, 64, 128, 256]
+    assert max(calls.values()) <= 16
+    assert sum(points) <= _RATES_EVAL_POINTS[command]
 
 
 # -- fuzz: every command over bounded inputs ----------------------------------------------

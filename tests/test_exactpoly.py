@@ -82,6 +82,23 @@ def test_derivative_and_eval_float():
     assert p.eval_float(0.5) == pytest.approx(1.75)
 
 
+def test_eval_float_converts_the_coefficients_once(monkeypatch):
+    # Horner over float(c) per call, bit for bit, with one conversion per
+    # coefficient for the polynomial's lifetime
+    p = RationalPoly([Fraction(1, 3), Fraction(-2, 7), 0, Fraction(5, 11)])
+    xs = np.linspace(0.0, 1.0, 9)
+    acc = np.zeros_like(xs)
+    for c in reversed(p.coeffs):
+        acc = acc * xs + float(c)
+    conversions = []
+    plain = Fraction.__float__
+    monkeypatch.setattr(Fraction, "__float__", lambda c: conversions.append(c) or plain(c))
+    for _ in range(3):
+        assert p.eval_float(xs).tobytes() == acc.tobytes()
+        assert p.eval_float(0.25) == float(np.float64(p.eval_float(np.array([0.25]))[0]))
+    assert len(conversions) == len(p.coeffs)
+
+
 # -- Bernstein form conversions ----------------------------------------------
 
 

@@ -96,7 +96,7 @@ def test_dtilde_coefficient_map_rows_map_alone(n):
         assert np.array_equal(out[index], dtilde_coefficient_map(stack[index]))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 64])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 20, 64])
 def test_dtilde_coefficient_map_is_the_exact_formula(n):
     # on small integers every float step is exact, so the map and the exact
     # engine's j(n-j)(c_{j-1} - 2c_j + c_{j+1}) agree bit for bit, alone and

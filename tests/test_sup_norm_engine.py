@@ -21,6 +21,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import gsops.analysis
 import gsops.basis
 import gsops.operators
 from gsops.analysis import (
@@ -37,6 +38,7 @@ from gsops.analysis import (
     _screened_lower_bound,
     lebesgue_bound,
     sup_norm,
+    sup_norms,
 )
 from gsops.basis import (
     EVAL_WORKSPACE,
@@ -266,6 +268,44 @@ def test_eval_workspace_is_bounded(n):
     w = _eval_chunk(n)
     assert 1 <= w <= 256
     assert (n + 1) * w <= EVAL_WORKSPACE
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 600])
+def test_eval_of_a_stack_takes_each_row_at_its_own_points(n):
+    # rows of one degree, a constant one among them, each point with its own
+    # row: every value has the bits of its row evaluated alone
+    rng = np.random.default_rng(n + 7)
+    coeffs = rng.normal(size=(4, n + 1))
+    coeffs[2] = 0.375
+    stack = BernsteinForm(n, coeffs)
+    w = _eval_chunk(n)
+    for size in (0, 1, 15, w + 1, 2003):
+        xs = rng.uniform(0.0, 1.0, size)
+        rows = rng.integers(0, 4, size)
+        out = stack.eval(xs, rows=rows)
+        assert out.shape == (size,)
+        for k in range(4):
+            assert out[rows == k].tobytes() == BernsteinForm(n, coeffs[k]).eval(xs[rows == k]).tobytes()
+    with pytest.raises(ValueError, match="row of each point"):
+        stack.eval(xs)
+    for bad in (rows[:-1], np.full(xs.size, 4), np.full(xs.size, -1)):
+        with pytest.raises(ValueError, match="one row of the stack per point"):
+            stack.eval(xs, rows=bad)
+
+
+def test_eval_of_a_stack_gathers_no_copy_per_point():
+    # a (points x (n+1)) gather of a 2003-point confirmation at n = 256 would
+    # be 4 MB; per chunk the coefficients go straight into the workspace
+    n, grid = 256, _chebyshev_grid(DEFAULT_GRID)
+    stack = BernsteinForm(n, np.random.default_rng(3).normal(size=(13, n + 1)))
+    rows = np.arange(grid.size) % 13
+    tracemalloc.start()
+    try:
+        out = stack.eval(grid, rows=rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 4 * 8 * EVAL_WORKSPACE + 8 * grid.nbytes + 2**14
 
 
 # -- bernstein_matrix ----------------------------------------------------------------
@@ -621,6 +661,170 @@ def test_lookahead_nan_at_a_read_point_still_raises():
     for x_bad in (read[0], read[len(read) // 2], read[-1]):
         with pytest.raises(ValueError, match="^non-finite value while estimating a sup norm$"):
             sup_norm(_nan_at(fn, x_bad))
+
+
+# -- sup_norms: the walks of one degree in lockstep -------------------------------------
+
+
+def assert_sup_norms_match_alone(fns, grid_size=DEFAULT_GRID):
+    """sup_norms(fns) holds the value and argmax of each sup_norm(fn), bit for bit."""
+    together = sup_norms(fns, grid_size)
+    assert len(together) == len(fns)
+    for fn, est in zip(fns, together):
+        alone = sup_norm(fn, grid_size)
+        assert (est.value, est.argmax) == (alone.value, alone.argmax)
+    return together
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sup_norms_of_mixed_degrees_match_each_alone(seed):
+    # random forms at three degrees, interleaved, with constant forms, bare
+    # residuals, residuals with f and with f and g, and bare callables
+    rng = np.random.default_rng(seed)
+    exp, sinpi = get_function("exp"), get_function("sinpi")
+    d2 = dtilde_of_function(exp, 2)
+    fns = []
+    for n in rng.permutation([3, 40, 257]).tolist() * 2:
+        form = BernsteinForm(n, rng.normal(size=n + 1) * 10.0 ** rng.integers(-3, 3))
+        fns += [
+            form,
+            Residual(form, exp.eval),
+            Residual(form, sinpi.eval, d2, float(rng.uniform(-1.0, 1.0))),
+            BernsteinForm(n, np.full(n + 1, float(rng.normal()))),
+            Residual(BernsteinForm(n, np.full(n + 1, 1.0)), get_function("one").eval),
+        ]
+    fns.insert(3, sinpi.eval)
+    fns.append(_lebesgue_function(9))
+    assert_sup_norms_match_alone(fns)
+    assert_sup_norms_match_alone(fns[::3], 64)
+
+
+@pytest.mark.parametrize("name", ["t2", "exp", "sinpi"])
+def test_sup_norms_of_catalog_residuals_match_each_alone(name):
+    # the requests of table and voronovskaya at one degree
+    f = get_function(name)
+    sweep = Sweep(DEFAULT_GRID)
+    fns = []
+    for m in (16, 64):
+        lam = tail_sums(m).lam
+        fns += [
+            Residual(sweep.U(f, m), f.eval),
+            Residual(sweep.Utilde(f, m), f.eval),
+            Residual(sweep.Utilde(f, m), f.eval, dtilde_of_function(f, 2), lam),
+            Residual(dtilde_form(sweep.Utilde(f, m))),
+        ]
+    assert_sup_norms_match_alone(fns)
+
+
+def test_sup_norms_of_one_walk_is_sup_norm():
+    form = BernsteinForm(30, np.random.default_rng(5).normal(size=31))
+    (est,) = assert_sup_norms_match_alone([form])
+    assert (est.value, est.argmax) == full_grid_sup_norm(form.eval)
+    assert sup_norms([]) == []
+
+
+def test_sup_norms_of_one_degree_share_every_evaluation_call(monkeypatch):
+    # a confirmation, a first pair and ceil(50 / 4) = 13 blocks: 15 calls
+    # for any number of forms of one degree, constant ones among them
+    rng = np.random.default_rng(11)
+    f = get_function("exp")
+    fns = [Residual(BernsteinForm(64, rng.normal(size=65)), f.eval) for _ in range(6)]
+    fns.append(BernsteinForm(64, np.full(65, 2.0)))
+    calls = []
+    plain_eval = BernsteinForm.eval
+
+    def counting(self, x, rows=None):
+        calls.append(np.asarray(x).size)
+        return plain_eval(self, x, rows=rows)
+
+    monkeypatch.setattr(BernsteinForm, "eval", counting)
+    sup_norms(fns)
+    assert len(calls) == 2 + math.ceil(GOLDEN_ITERATIONS / LOOKAHEAD_DEPTH)
+    assert max(calls[2:]) == len(fns) * (2**LOOKAHEAD_DEPTH - 1)
+
+
+def _read_points(fn):
+    """The refinement points the sequential walk of fn reads."""
+    read = []
+    full_grid_sup_norm(fn, probes=read)
+    return read
+
+
+def test_sup_norms_walk_reading_a_non_finite_value_fails_alone():
+    # f is NaN at a point the middle walk reads; its siblings of the same
+    # degree, and the walks of another degree, still return
+    rng = np.random.default_rng(2)
+    sinpi = get_function("sinpi").eval
+    forms = [BernsteinForm(n, rng.normal(size=n + 1)) for n in (20, 20, 20, 7)]
+    poisoned_form = forms[1]
+    read = _read_points(lambda xs: poisoned_form.eval(xs) - sinpi(xs))
+    for x_bad in (read[0], read[len(read) // 2], read[-1]):
+        fns = [Residual(p, sinpi) for p in forms]
+        fns[1] = Residual(poisoned_form, _nan_at(sinpi, x_bad))
+        together = sup_norms(fns)
+        assert isinstance(together[1], ValueError)
+        assert str(together[1]) == "non-finite value while estimating a sup norm"
+        with pytest.raises(ValueError, match="^non-finite value while estimating a sup norm$"):
+            sup_norm(fns[1])
+        for i in (0, 2, 3):
+            alone = sup_norm(fns[i])
+            assert (together[i].value, together[i].argmax) == (alone.value, alone.argmax)
+
+
+def test_sup_norms_walk_whose_terms_raise_fails_alone():
+    def broken(xs):
+        raise ArithmeticError("no value")
+
+    forms = [BernsteinForm(12, np.random.default_rng(k).normal(size=13)) for k in range(3)]
+    fns = [Residual(forms[0]), Residual(forms[1], broken), forms[2], broken]
+    together = sup_norms(fns)
+    assert isinstance(together[1], ArithmeticError) and isinstance(together[3], ArithmeticError)
+    for i in (0, 2):
+        assert together[i] == sup_norm(fns[i])
+
+
+def test_sup_norms_nan_at_an_unread_point_is_ignored():
+    # the NaN sits at a block point the poisoned walk evaluates but never reads
+    rng = np.random.default_rng(4)
+    sinpi = get_function("sinpi").eval
+    forms = [BernsteinForm(20, rng.normal(size=21)) for _ in range(3)]
+    clean = [Residual(p, sinpi) for p in forms]
+    evaluated = []
+
+    def recording(xs):
+        evaluated.extend(np.atleast_1d(xs).tolist())
+        return sinpi(xs)
+
+    sup_norm(Residual(forms[1], recording))
+    grid = set(_chebyshev_grid(DEFAULT_GRID).tolist())
+    read = set(_read_points(lambda xs: forms[1].eval(xs) - sinpi(xs)))
+    unread = [x for x in evaluated if x not in grid and x not in read]
+    assert len(unread) > 0
+    poisoned = list(clean)
+    poisoned[1] = Residual(forms[1], _nan_at(sinpi, unread[-1]))
+    assert sup_norms(poisoned) == sup_norms(clean)
+
+
+def test_screened_lower_bound_keeps_its_screen_for_sup_norm(monkeypatch):
+    # the K-functional screens a candidate for its bound, then takes its norm:
+    # one screen in all, and the same estimate as without the kept screen
+    f = get_function("exp")
+    p = utilde_from_u(sweep_U(f, 32))
+    fn = Residual(p, f.eval)
+    screened = []
+    plain = gsops.analysis._screens
+
+    def counting(fns, grid_size):
+        screened.extend(fns)
+        return plain(fns, grid_size)
+
+    monkeypatch.setattr(gsops.analysis, "_screens", counting)
+    low = _screened_lower_bound(fn, DEFAULT_GRID)
+    est = sup_norm(fn)
+    assert screened == [fn]
+    assert 0.0 < low <= est.value
+    assert est == sup_norm(Residual(p, f.eval))
+    assert len(screened) == 2
 
 
 # -- the screened lower bound that prunes the K-functional candidates ------------------
