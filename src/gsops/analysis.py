@@ -21,7 +21,9 @@ Every report the CLI prints is built here, except the exact identity rows of
 Each check of a function takes its operator outputs and norms from a Sweep,
 which a run builds once and hands to every check; a command fills the Sweep
 with the sup norms its checks will take (the fill_* functions), one lockstep
-call per degree, before the checks run.  One Sweep serves one
+call per degree, before the checks run, and the sandwich fills the two norms
+of each candidate it keeps in one lockstep call.  Screens are not kept: each
+call that needs one takes it.  One Sweep serves one
 thread; the cached screening bases of sup_norm are shared under a lock, so
 threads with a Sweep each can produce reports concurrently, and merged by key
 they hold the same values.
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -77,7 +79,6 @@ __all__ = [
     "Residual",
     "sup_norm",
     "sup_norms",
-    "distance",
     "Sweep",
     "lebesgue_bound",
     "check_lebesgue",
@@ -246,16 +247,14 @@ class Residual:
     itself.  Calling it evaluates p by de Casteljau, in this operation order,
     so its values are those of the equivalent lambda.  sup_norm screens the
     grid of a Residual with the cached closed-form basis first, and only the
-    candidates it leaves are evaluated by calling it.  ``screens`` keeps, by
-    grid size, the screen _screened_lower_bound took, which sup_norm then
-    reads instead of screening again.
+    candidates it leaves are evaluated by calling it.  Nothing is kept: each
+    call that needs the screen takes it.
     """
 
     p: BernsteinForm
     f: Callable | None = None
     g: Callable | None = None
     scale: float = 0.0
-    screens: dict[int, "_Screen"] = field(default_factory=dict, init=False, repr=False)
 
     def __call__(self, xs):
         out = self.p.eval(xs)
@@ -341,14 +340,12 @@ def _screens(fns: list[Residual], grid_size: int) -> list[_Screen | Exception]:
 def _screened_lower_bound(fn: Residual, grid_size: int) -> float:
     """The screen's lower bound of sup_norm(fn, grid_size).value; costs a matvec and no de Casteljau.
 
-    The screen is kept in ``fn.screens``; raises what fn's f or g raises.
+    Raises what fn's f or g raises.
     """
-    if grid_size not in fn.screens:
-        (screen,) = _screens([fn], grid_size)
-        if isinstance(screen, Exception):
-            raise screen
-        fn.screens[grid_size] = screen
-    return fn.screens[grid_size].lower
+    (screen,) = _screens([fn], grid_size)
+    if isinstance(screen, Exception):
+        raise screen
+    return screen.lower
 
 
 def _probe_points(a: float, b: float, c: float, d: float, left: bool, depth: int) -> list[float]:
@@ -429,7 +426,7 @@ def _read(
     """|fns[j]| at points[j] for each j in points, in one evaluation call.
 
     fns are Residuals of one degree, evaluated by ``stack``, the stack of
-    their forms (None for one Residual), or one bare callable.  A Residual's
+    their forms, or one bare callable (``stack`` None).  A Residual's
     f and scale * g are added per walk, in the order of Residual.__call__, so
     each value has the bits of that call.  An exception raised by a walk's
     own terms is its entry; values may be non-finite.
@@ -449,7 +446,7 @@ def _read(
             except Exception as exc:
                 errors[walks[0]] = exc
                 return np.full(pts.size, np.nan)
-        out = fn.p.eval(pts) if stack is None else stack.eval(pts, rows=np.repeat(walks, sizes))
+        out = stack.eval(pts, rows=np.repeat(walks, sizes))
         for j in walks:
             fn, span = fns[j], spans[j]
             try:
@@ -461,7 +458,7 @@ def _read(
                 errors[j] = exc
         return out
 
-    vals = _abs_values(values, points[walks[0]] if len(walks) == 1 else np.concatenate(list(points.values())))
+    vals = _abs_values(values, np.concatenate(list(points.values())))
     return {j: errors.get(j, vals[spans[j]]) for j in walks}
 
 
@@ -470,9 +467,7 @@ def _lockstep(fns: list, grid_size: int) -> list[SupNormEstimate | Exception]:
     stage of their walks is one _read."""
     xs = _chebyshev_grid(grid_size)
     residuals = isinstance(fns[0], Residual)
-    stack = None
-    if residuals and len(fns) > 1:
-        stack = BernsteinForm(fns[0].p.n, np.stack([fn.p.coeffs for fn in fns]))
+    stack = BernsteinForm(fns[0].p.n, np.stack([fn.p.coeffs for fn in fns])) if residuals else None
     results: list = [None] * len(fns)
     walks: dict[int, _Walk] = {}
 
@@ -485,12 +480,8 @@ def _lockstep(fns: list, grid_size: int) -> list[SupNormEstimate | Exception]:
                 results[j] = exc
                 walks.pop(j, None)
 
-    screens = [fn.screens.get(grid_size) if residuals else None for fn in fns]
-    missing = [j for j, screen in enumerate(screens) if residuals and screen is None]
-    for j, screen in zip(missing, _screens([fns[j] for j in missing], grid_size)):
-        screens[j] = screen
     candidates = {}
-    for j, screen in enumerate(screens):
+    for j, screen in enumerate(_screens(fns, grid_size) if residuals else [None]):
         if isinstance(screen, Exception):
             results[j] = screen
         else:  # a bare callable takes the whole grid
@@ -543,8 +534,7 @@ def sup_norms(
 
     Returns, for each fn, its SupNormEstimate or the exception its walk
     raised: a walk fails alone when it reads a non-finite value (one it does
-    not read is ignored) or when its own terms raise.  A Residual whose
-    screen is already kept in its ``screens`` is not screened again.
+    not read is ignored) or when its own terms raise.
     """
     if grid_size < 64:
         raise ValueError("grid_size must be >= 64")
@@ -569,11 +559,6 @@ def sup_norm(fn: BernsteinForm | Residual | Callable, grid_size: int = DEFAULT_G
     return estimate
 
 
-def distance(p: BernsteinForm, f: FunctionSpec, grid_size: int = DEFAULT_GRID) -> float:
-    """The operator error ||p - f|| of a Bernstein form p against f."""
-    return sup_norm(Residual(p, f.eval), grid_size).value
-
-
 class Sweep:
     """The operator outputs and norms of one run, each computed once.
 
@@ -594,7 +579,9 @@ class Sweep:
     An operator error ||p - f|| is keyed by f and the bits of p's
     coefficients, not by the operator that built p: U_m f and Utilde_m f of a
     linear f, or Utilde_m^3 f and Utilde_m f of a constant, often hold the
-    same bits, and then share one sup norm.
+    same bits, and then share one sup norm.  The norm ||p|| of a form
+    (form_request) is keyed by the bits of p alone, so, for one, the zero
+    forms Dtilde^2 Utilde_2^3 f of f = one and of f = t share one.
     """
 
     def __init__(self, grid_size: int) -> None:
@@ -609,18 +596,15 @@ class Sweep:
     def fill(self, requests) -> None:
         """Take the sup norms of the (key, fn) requests not yet stored, in lockstep
         (sup_norms), and store each that succeeds."""
-        pending: dict[tuple, object] = {}
-        for key, fn in requests:
-            if key not in self._values and key not in pending:
-                pending[key] = self._values.pop(("screened", key), fn)
+        pending = {key: fn for key, fn in requests if key not in self._values}
         for key, estimate in zip(pending, sup_norms(list(pending.values()), self.grid_size)):
             if not isinstance(estimate, Exception):
                 self._values[key] = estimate.value
 
     def _norm(self, key: tuple, fn) -> float:
-        """The sup norm of a request, of the Residual kept screened under its key if there is one."""
+        """The sup norm of one request, taken alone if it is not stored."""
         if key not in self._values:
-            self._values[key] = sup_norm(self._values.pop(("screened", key), fn), self.grid_size).value
+            self._values[key] = sup_norm(fn, self.grid_size).value
         return self._values[key]
 
     def U(self, f: FunctionSpec, m: int) -> BernsteinForm:
@@ -658,12 +642,12 @@ class Sweep:
         """||Utilde_n f - f + lambda(n) Dtilde^2 f||."""
         return self._norm(*self.voronovskaya_request(f, n))
 
-    def dtilde_utilde_request(self, f: FunctionSpec, n: int) -> tuple[tuple, Residual]:
-        return ("dtilde_utilde_norm", f, n), Residual(dtilde_form(self.Utilde(f, n)))
+    def form_request(self, p: BernsteinForm) -> tuple[tuple, Residual]:
+        return ("form", p.coeffs.tobytes()), Residual(p)
 
     def dtilde_utilde_norm(self, f: FunctionSpec, n: int) -> float:
         """||Dtilde Utilde_n f||."""
-        return self._norm(*self.dtilde_utilde_request(f, n))
+        return self._norm(*self.form_request(dtilde_form(self.Utilde(f, n))))
 
     def Utilde3(self, f: FunctionSpec, m: int) -> BernsteinForm:
         """The K-functional candidate Utilde_m^3 f: the stored Utilde_m f, then
@@ -680,23 +664,20 @@ class Sweep:
         """Dtilde^2 Utilde_m^3 f, from the exact coefficient map."""
         return self._memoized(("D2Utilde3", f, m), lambda: dtilde_form(dtilde_form(self.Utilde3(f, m))))
 
-    def _iterate_d2_request(self, f: FunctionSpec, m: int) -> tuple[tuple, Residual]:
-        return ("iterate_d2_norm", f, m), Residual(self.D2Utilde3(f, m))
-
     def iterate_d2_norm(self, f: FunctionSpec, m: int) -> float:
         """||Dtilde^2 Utilde_m^3 f||."""
-        return self._norm(*self._iterate_d2_request(f, m))
+        return self._norm(*self.form_request(self.D2Utilde3(f, m)))
+
+    def iterate_requests(self, f: FunctionSpec, m: int) -> list[tuple[tuple, Residual]]:
+        """The requests of (iterate_distance, iterate_d2_norm)."""
+        return [self.distance_request(self.Utilde3(f, m), f), self.form_request(self.D2Utilde3(f, m))]
 
     def iterate_lower_bounds(self, f: FunctionSpec, m: int) -> tuple[float, float]:
         """Lower bounds of (iterate_distance, iterate_d2_norm) that take no sup norm:
-        each norm once computed, by any route, else its _screened_lower_bound.
-        The screened Residual is kept until its norm is taken, so each is
-        screened once."""
-        requests = (self.distance_request(self.Utilde3(f, m), f), self._iterate_d2_request(f, m))
+        each norm once computed, by any route, else its _screened_lower_bound."""
         return tuple(
-            self._values[key] if key in self._values
-            else _screened_lower_bound(self._memoized(("screened", key), lambda: fn), self.grid_size)
-            for key, fn in requests
+            self._values[key] if key in self._values else _screened_lower_bound(fn, self.grid_size)
+            for key, fn in self.iterate_requests(f, m)
         )
 
 
@@ -992,7 +973,9 @@ def kfunctional_sandwich(f: FunctionSpec, n: int, sweep: Sweep) -> KfSandwich:
     exceeds the lesser of the best cost so far and f's own is skipped without
     its sup norms.  L (_screened_lower_bound) is at most the sup_norm value
     and rounding is monotone, so a skipped candidate costs strictly more than
-    the winner: skipping it changes neither ``upper`` nor any tie.
+    the winner: skipping it changes neither ``upper`` nor any tie.  A kept
+    candidate's two norms, ||g - f|| and ||Dtilde^2 g||, both of degree m,
+    are taken in one lockstep Sweep.fill.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -1008,6 +991,7 @@ def kfunctional_sandwich(f: FunctionSpec, n: int, sweep: Sweep) -> KfSandwich:
         low_dist, low_d2 = sweep.iterate_lower_bounds(f, m)
         if low_dist + t * low_d2 > min(best_cost, own_cost):
             continue
+        sweep.fill(sweep.iterate_requests(f, m))
         cost = sweep.iterate_distance(f, m) + t * sweep.iterate_d2_norm(f, m)
         if cost < best_cost:
             best_cost, best_id = cost, f"utilde3_m{m}"
@@ -1088,7 +1072,7 @@ def fill_operator_errors(fs: Sequence[FunctionSpec], n: int, sweep: Sweep) -> No
 
 def fill_bernstein_inequality(fs: Sequence[FunctionSpec], n: int, sweep: Sweep) -> None:
     """Fill sweep with the left sides ||Dtilde Utilde_n f|| of check_bernstein_inequality, in lockstep."""
-    sweep.fill(sweep.dtilde_utilde_request(f, n) for f in fs)
+    sweep.fill(sweep.form_request(dtilde_form(sweep.Utilde(f, n))) for f in fs)
 
 
 def fill_voronovskaya(fs: Sequence[FunctionSpec], ns: Sequence[int], sweep: Sweep) -> None:

@@ -449,7 +449,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"gsops: configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ToleranceError, MemoryError) as exc:
+    except (ToleranceError, MemoryError, OverflowError) as exc:
         print(f"gsops: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     text = render(cfg, rows, columns)

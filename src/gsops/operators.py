@@ -113,9 +113,6 @@ class BernsteinForm:
     def scale(self, s: float) -> "BernsteinForm":
         return BernsteinForm(self.n, float(s) * self.coeffs)
 
-    def to_json_dict(self) -> dict:
-        return {"degree": self.n, "coeffs": [float(c) for c in self.coeffs]}
-
     @classmethod
     def from_json_dict(cls, data) -> "BernsteinForm":
         """The form of a parsed {"degree": n, "coeffs": [...]} document, or ValueError.

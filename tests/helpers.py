@@ -1,5 +1,6 @@
-"""Shared by the test modules: U_n f as every command builds it, exact
-Bernstein coefficients of a polynomial, and a broken exact engine."""
+"""Shared by the test modules: U_n f as every command builds it, the
+operator error of a form, exact Bernstein coefficients of a polynomial, and a
+broken exact engine."""
 
 import math
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from gsops import exactpoly
-from gsops.analysis import DEFAULT_GRID, Sweep
+from gsops.analysis import DEFAULT_GRID, Residual, Sweep, sup_norm
 from gsops.exactpoly import RationalPoly
 from gsops.operators import BernsteinForm
 
@@ -15,6 +16,11 @@ from gsops.operators import BernsteinForm
 def sweep_U(f, n):
     """U_n f from a new Sweep, as every command forms it."""
     return Sweep(DEFAULT_GRID).U(f, n)
+
+
+def distance(p: BernsteinForm, f) -> float:
+    """The operator error ||p - f|| of a Bernstein form p, taken alone."""
+    return sup_norm(Residual(p, f.eval)).value
 
 
 def bernstein_coeffs_from_poly(q: RationalPoly, n: int) -> list[Fraction]:

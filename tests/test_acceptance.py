@@ -37,7 +37,6 @@ from gsops.analysis import (
     check_converse,
     check_jackson,
     check_voronovskaya,
-    distance,
     kfunctional_sandwich,
     lebesgue_bound,
     loglog_slope,
@@ -54,7 +53,7 @@ from gsops.exactpoly import (
 )
 from gsops.operators import utilde_from_u
 
-from helpers import sweep_U
+from helpers import distance, sweep_U
 
 EXACT_POLYS = {
     "t2": RationalPoly([0, 0, 1]),

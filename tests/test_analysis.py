@@ -26,7 +26,6 @@ from gsops.analysis import (
     check_interpolation,
     check_jackson,
     check_voronovskaya,
-    distance,
     kfunctional_sandwich,
     lebesgue_bound,
     loglog_slope,
@@ -45,7 +44,7 @@ from gsops.operators import (
     utilde_from_u,
 )
 
-from helpers import bernstein_form_from_poly, sweep_U
+from helpers import bernstein_form_from_poly, distance, sweep_U
 
 T2 = RationalPoly([0, 0, 1])
 T3 = RationalPoly([0, 0, 0, 1])
@@ -373,11 +372,11 @@ def test_sandwich_pruning_changes_no_bit(monkeypatch):
     fs = [get_function(name) for name in catalog_names()]
     ns = (2, 3, 4, 8, 16, 32, 64)
     calls, operator_outputs = [], {}
-    plain_norm, plain_U = gsops.analysis.sup_norm, Sweep.U
+    plain_norms, plain_U = gsops.analysis.sup_norms, Sweep.U
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return plain_norm(*args, **kwargs)
+    def counting(fns, *args, **kwargs):  # every walk, one at a time or in lockstep
+        calls.extend(fns)
+        return plain_norms(fns, *args, **kwargs)
 
     def shared_U(self, f, m):
         if (f, m) not in operator_outputs:
@@ -389,7 +388,7 @@ def test_sandwich_pruning_changes_no_bit(monkeypatch):
         calls.clear()
         return {(f.name, n): kfunctional_sandwich(f, n, sweep) for f in fs for n in ns}, len(calls)
 
-    monkeypatch.setattr(gsops.analysis, "sup_norm", counting)
+    monkeypatch.setattr(gsops.analysis, "sup_norms", counting)
     monkeypatch.setattr(Sweep, "U", shared_U)
     for grid_size in (64, DEFAULT_GRID):
         pruned, pruned_calls = sandwiches(grid_size)

@@ -307,7 +307,7 @@ def test_eval_round_trip(tmp_path):
 
     form = utilde_from_u(sweep_U(get_function("t2"), 3))
     form_path = tmp_path / "form.json"
-    form_path.write_text(json.dumps(form.to_json_dict()), encoding="utf-8")
+    form_path.write_text(json.dumps({"degree": form.n, "coeffs": form.coeffs.tolist()}), encoding="utf-8")
     code, text = run_cli(tmp_path, "eval", "--form", str(form_path), "--points", "0,0.5,1")
     assert code == EXIT_OK
     lines = text.splitlines()
@@ -443,6 +443,16 @@ def test_oversized_sizes_are_usage_errors(tmp_path, capsys):
         assert out == ""
         assert err.startswith("gsops: MemoryError:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def test_probe_count_beyond_numpy_integers_is_usage_error(capsys):
+    # numpy's random choice raises OverflowError for a size past its C long;
+    # that is a configuration error, not a violated check
+    assert main(["norms", "--n", "3", "--probes", "99999999999999999999"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("gsops: OverflowError:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("where", ["a directory", "a missing directory"])
@@ -908,6 +918,32 @@ def test_rates_commands_walk_each_degree_in_lockstep(tmp_path, monkeypatch, comm
     assert sorted(calls) == [16, 32, 64, 128, 256]
     assert max(calls.values()) <= 16
     assert sum(points) <= _RATES_EVAL_POINTS[command]
+
+
+#: BernsteinForm.eval calls and points of the sandwich commands at the
+#: benchmark's arguments when each candidate's two norms share one lockstep
+#: call; taken one walk at a time, the same points took 525 and 780 calls.
+_SANDWICH_EVALS = {"kfunc": (375, 6521), "converse": (630, 9687)}
+
+
+@pytest.mark.parametrize("command", sorted(_SANDWICH_EVALS))
+def test_sandwich_commands_walk_each_candidate_in_lockstep(tmp_path, monkeypatch, command):
+    # timing-free: ||Utilde_m^3 f - f|| and ||Dtilde^2 Utilde_m^3 f|| of a kept
+    # candidate walk together, and they evaluate no more points than alone
+    calls, points = [], []
+    plain = gsops.operators.BernsteinForm.eval
+
+    def counting(self, x, *args, **kwargs):
+        calls.append(self.n)
+        points.append(np.asarray(x).size)
+        return plain(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(gsops.operators.BernsteinForm, "eval", counting)
+    argv = [command, "--fns", "t2,exp,abs52", "--n", "2:2:5", "--ell-mult", "16", "--seed", "1"]
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == EXIT_OK
+    most_calls, most_points = _SANDWICH_EVALS[command]
+    assert len(calls) <= most_calls
+    assert sum(points) <= most_points
 
 
 # -- fuzz: every command over bounded inputs ----------------------------------------------

@@ -21,7 +21,6 @@ import mpmath
 import numpy as np
 import pytest
 
-import gsops.analysis
 import gsops.basis
 import gsops.operators
 from gsops.analysis import (
@@ -607,11 +606,11 @@ def test_lookahead_refinement_of_a_form_is_batched(monkeypatch):
     sizes = []
     plain_eval = BernsteinForm.eval
 
-    def recording_eval(self, x):
+    def recording_eval(self, x, rows=None):
         pts = np.atleast_1d(np.asarray(x, dtype=float))
         if not grid.intersection(pts.tolist()):  # a refinement probe, not the grid or its confirmation
             sizes.append(pts.size)
-        return plain_eval(self, x)
+        return plain_eval(self, x, rows)
 
     monkeypatch.setattr(BernsteinForm, "eval", recording_eval)
     est = sup_norm(form)
@@ -803,28 +802,6 @@ def test_sup_norms_nan_at_an_unread_point_is_ignored():
     poisoned = list(clean)
     poisoned[1] = Residual(forms[1], _nan_at(sinpi, unread[-1]))
     assert sup_norms(poisoned) == sup_norms(clean)
-
-
-def test_screened_lower_bound_keeps_its_screen_for_sup_norm(monkeypatch):
-    # the K-functional screens a candidate for its bound, then takes its norm:
-    # one screen in all, and the same estimate as without the kept screen
-    f = get_function("exp")
-    p = utilde_from_u(sweep_U(f, 32))
-    fn = Residual(p, f.eval)
-    screened = []
-    plain = gsops.analysis._screens
-
-    def counting(fns, grid_size):
-        screened.extend(fns)
-        return plain(fns, grid_size)
-
-    monkeypatch.setattr(gsops.analysis, "_screens", counting)
-    low = _screened_lower_bound(fn, DEFAULT_GRID)
-    est = sup_norm(fn)
-    assert screened == [fn]
-    assert 0.0 < low <= est.value
-    assert est == sup_norm(Residual(p, f.eval))
-    assert len(screened) == 2
 
 
 # -- the screened lower bound that prunes the K-functional candidates ------------------
